@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_GAUSS2 = 1.0 / math.sqrt(3.0)
 
 
 class LatentDistribution:
@@ -178,10 +179,15 @@ class TruncatedNormal(LatentDistribution):
 
     @property
     def second_moment(self):
-        sigma = math.sqrt(self.sigma2)
-        k = 1.0 / sigma
-        z = 2.0 * norm_cdf(k) - 1.0
-        return self.sigma2 * (1.0 - 2.0 * k * norm_pdf(k) / z)
+        if self.sigma2 < 1.0:
+            k = 1.0 / math.sqrt(self.sigma2)
+            z = 2.0 * norm_cdf(k) - 1.0
+            return self.sigma2 * (1.0 - 2.0 * k * norm_pdf(k) / z)
+        # the closed form cancels for wide sigma (off by 7e-5 at sigma2 = 1e8), so
+        # expand exp(-s x^2), s <= 1/2, in both integrals; term 20 is below 1e-22
+        j = np.arange(20)
+        terms = np.cumprod(np.concatenate(([1.0], -0.5 / self.sigma2 / j[1:])))
+        return float(np.sum(terms / (2 * j + 3)) / np.sum(terms / (2 * j + 1)))
 
 
 @dataclass(frozen=True)
@@ -253,8 +259,10 @@ class Kde(LatentDistribution):
     The density is evaluated by linear-binning the sample onto a fixed grid
     and convolving with the kernel; mass pushed past either endpoint is
     mirrored back in, which keeps the estimate supported on [-1, 1]. The cdf
-    grid, its inverse machinery, and the first two moments are all computed
-    once at construction.
+    is the linear interpolant of the integrated density on that grid, so the
+    quantile, the first two moments and the cross moments with another
+    ``Kde`` or a ``Uniform`` are exact finite sums on the grid, and
+    ``cross_moment(..., method="closed")`` accepts those pairs.
     """
 
     def __init__(self, sample, bandwidth=None):
@@ -285,8 +293,11 @@ class Kde(LatentDistribution):
         self._density = density
         self._density_integral = float(cdf[-1])
         self._cdf = cdf / cdf[-1]
-        self._mean = float(integrate(self._quantile, tol=1e-10))
-        self._m2 = float(integrate(lambda t: self._quantile(t) ** 2, tol=1e-10))
+        # the density is uniform inside each cell: sum the cell moments
+        mass = np.diff(self._cdf)
+        x0, x1 = grid[:-1], grid[1:]
+        self._mean = float(np.sum(mass * (x0 + x1)) / 2.0)
+        self._m2 = float(np.sum(mass * (x0 * x0 + x0 * x1 + x1 * x1)) / 3.0)
 
     @property
     def sample(self):
@@ -314,22 +325,16 @@ class Kde(LatentDistribution):
         return out if np.ndim(x) else float(out)
 
     def _quantile(self, t):
-        # locate the first grid cell where the cdf reaches t, then bisect on
-        # the linear interpolant inside it; the upper end of the bracket
-        # keeps F(hi) >= t, converging to the generalized inverse
+        # invert the linear interpolant on the first cell where the cdf
+        # reaches t; for t in (0, 1] that cell has F1 > F0, so zero-mass
+        # cells are skipped and the result is the generalized inverse
         k = np.searchsorted(self._cdf, t, side="left")
         k = np.clip(k, 1, self._cdf.size - 1)
-        x0 = self._grid[k - 1]
+        x0, x1 = self._grid[k - 1], self._grid[k]
         f0 = self._cdf[k - 1]
-        slope = (self._cdf[k] - f0) / (self._grid[k] - x0)
-        lo = x0.copy()
-        hi = self._grid[k].copy()
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            above = f0 + slope * (mid - x0) >= t
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        return hi
+        w = (t - f0) / (self._cdf[k] - f0)
+        # w <= 1, but x0 + (x1 - x0) can round one ulp past x1
+        return np.minimum(x0 + w * (x1 - x0), x1)
 
     @property
     def mean(self):
@@ -394,18 +399,22 @@ def _closed_cross_moment(d1, d2):
         tri = d1 if isinstance(d1, Triangular) else d2
         # integral of (2t-1) against the triangular quantile, in closed form
         return (7.0 + tri.mode ** 2) / 30.0
+    if pair <= {Kde, Uniform}:
+        # both quantiles are linear between the merged cdf knots, so the
+        # two-point Gauss rule is exact there; its nodes are interior, clear
+        # of the jump a quantile makes where the cdf is flat
+        t = np.union1d(*(d._cdf if isinstance(d, Kde) else (0.0, 1.0) for d in (d1, d2)))
+        half = 0.5 * np.diff(t)
+        nodes = (t[:-1] + half * (1.0 - _GAUSS2), t[:-1] + half * (1.0 + _GAUSS2))
+        return float(np.sum(half * sum(d1._quantile(x) * d2._quantile(x) for x in nodes)))
     return None
-
-
-def _quadrature_cross_moment(d1, d2, tol):
-    cuts = set(d1.breakpoints()) | set(d2.breakpoints())
-    return integrate(lambda t: d1._quantile(t) * d2._quantile(t),
-                     breakpoints=cuts, tol=tol)
 
 
 @functools.lru_cache(maxsize=4096)
 def _cached_cross_moment(d1, d2, tol):
-    return _quadrature_cross_moment(d1, d2, tol)
+    cuts = set(d1.breakpoints()) | set(d2.breakpoints())
+    return integrate(lambda t: d1._quantile(t) * d2._quantile(t),
+                     breakpoints=cuts, tol=tol)
 
 
 def cross_moment(d1, d2, method="auto", tol=1e-9):
@@ -415,7 +424,7 @@ def cross_moment(d1, d2, method="auto", tol=1e-9):
     distributions coincide. ``method`` selects between the closed forms
     known for specific pairs ("closed"), quadrature on the product of
     quantile functions ("quadrature"), or closed-form-with-fallback
-    ("auto", the default).
+    ("auto", the default). Any pair of ``Kde`` and ``Uniform`` is closed.
     """
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"unknown cross_moment method {method!r}")
@@ -427,11 +436,7 @@ def cross_moment(d1, d2, method="auto", tol=1e-9):
             raise DomainError(
                 f"no closed-form cross moment for {type(d1).__name__} and "
                 f"{type(d2).__name__}")
-    try:
-        return _cached_cross_moment(d1, d2, tol)
-    except TypeError:
-        # unhashable family (kde); compute without caching
-        return _quadrature_cross_moment(d1, d2, tol)
+    return _cached_cross_moment(d1, d2, tol)
 
 
 def quantile_correlation(d1, d2):

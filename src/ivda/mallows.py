@@ -124,18 +124,9 @@ def _oracle_nodes(panels, cuts):
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_oracle_quantiles(dist, panels, cuts):
+def _oracle_quantiles(dist, panels, cuts):
     _, _, nodes = _oracle_nodes(panels, cuts)
     return dist._quantile(nodes.ravel()).reshape(nodes.shape)
-
-
-def _oracle_quantiles(dist, panels, cuts):
-    try:
-        return _cached_oracle_quantiles(dist, panels, cuts)
-    except TypeError:
-        # unhashable family (kde); compute without caching
-        _, _, nodes = _oracle_nodes(panels, cuts)
-        return dist._quantile(nodes.ravel()).reshape(nodes.shape)
 
 
 def oracle_dist_sq(x1, u1, x2, u2, panels=256):

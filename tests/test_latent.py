@@ -19,9 +19,9 @@ from ivda import (
     quantile_correlation,
 )
 from ivda.errors import DomainError, NumericFailure
-from ivda.quadrature import integrate
+from ivda.quadrature import integrate, integrate_fixed
 
-from conftest import make_latent, trapezoid
+from conftest import ALL_FAMILIES, make_latent, trapezoid
 
 PARAMETRIC = [
     Uniform(),
@@ -89,6 +89,94 @@ def test_kde_quantile_of_uniform_sample():
     assert dist.quantile(0.25) == pytest.approx(-0.5, abs=0.05)
 
 
+def _bisection_quantile(dist, t):
+    # reference: 48 bisection steps on the linear cdf interpolant of a Kde
+    k = np.clip(np.searchsorted(dist._cdf, t, side="left"), 1, dist._cdf.size - 1)
+    x0 = dist._grid[k - 1]
+    f0 = dist._cdf[k - 1]
+    slope = (dist._cdf[k] - f0) / (dist._grid[k] - x0)
+    lo = x0.copy()
+    hi = dist._grid[k].copy()
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        above = f0 + slope * (mid - x0) >= t
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return hi
+
+
+def _clustered_kde():
+    # two tight clusters and a tiny bandwidth leave most grid cells with zero
+    # mass, so the quantile jumps across them
+    rng = np.random.default_rng(17)
+    centres = np.repeat([-0.5, 0.4], 20)
+    return Kde(centres + rng.normal(0.0, 1e-4, 40), bandwidth=1e-3)
+
+
+def test_kde_quantile_matches_bisection(rng):
+    dist = make_latent(rng, "kde")
+    t = np.concatenate([rng.uniform(size=20_000), dist._cdf[1:]])
+    t = t[t > 0.0]
+    assert np.max(np.abs(dist._quantile(t) - _bisection_quantile(dist, t))) <= 1e-15
+
+
+def test_kde_quantile_matches_bisection_on_skewed_sample(rng):
+    # in cells holding only a few ulps of probability, one ulp of t moves the
+    # quantile by (x1 - x0) ulp / (F1 - F0); both inverses are that precise
+    dist = Kde(2.0 * rng.beta(0.5, 3.0, size=200) - 1.0)
+    t = np.concatenate([rng.uniform(size=20_000), dist._cdf[1:]])
+    t = t[t > 0.0]
+    k = np.searchsorted(dist._cdf, t, side="left")
+    spread = (dist._grid[k] - dist._grid[k - 1]) / (dist._cdf[k] - dist._cdf[k - 1])
+    gap = np.abs(dist._quantile(t) - _bisection_quantile(dist, t))
+    assert np.all(gap <= 1e-15 + 2.0 * np.spacing(t) * spread)
+
+
+def _kde_cases(rng):
+    return [make_latent(rng, "kde"),
+            Kde(2.0 * rng.beta(0.5, 3.0, size=200) - 1.0),
+            _clustered_kde()]
+
+
+def test_kde_moments_match_per_segment_quadrature(rng):
+    for dist in _kde_cases(rng):
+        cuts = dist._cdf[1:-1]
+        mean = integrate_fixed(dist._quantile, panels=1, breakpoints=cuts)
+        m2 = integrate_fixed(lambda t: dist._quantile(t) ** 2, panels=1, breakpoints=cuts)
+        assert dist.mean == pytest.approx(mean, abs=1e-13)
+        assert dist.second_moment == pytest.approx(m2, abs=1e-13)
+
+
+def test_kde_cross_moments_are_closed_and_exact(rng):
+    k1, k2, k3 = _kde_cases(rng)
+    for d1, d2 in [(k1, k2), (k2, k3), (k1, k3), (k1, Uniform()), (Uniform(), k3)]:
+        closed = cross_moment(d1, d2, method="closed")
+        assert cross_moment(d1, d2) == closed
+        assert closed == pytest.approx(cross_moment(d1, d2, method="quadrature"), abs=1e-9)
+        knots = np.union1d(*(getattr(d, "_cdf", ()) for d in (d1, d2)))
+        segments = integrate_fixed(lambda t: d1._quantile(t) * d2._quantile(t),
+                                   panels=1, breakpoints=knots)
+        assert closed == pytest.approx(segments, abs=1e-13)
+    for dist in (k1, k2, k3):
+        assert cross_moment(dist, dist) == dist.second_moment
+
+
+def test_kde_with_empty_cells_is_finite_generalized_inverse():
+    dist = _clustered_kde()
+    assert np.mean(np.diff(dist._cdf) == 0.0) > 0.9
+    t = np.linspace(1e-9, 1.0, 100_001)
+    q = dist.quantile(t)
+    assert np.all(np.isfinite(q)) and np.all(np.diff(q) >= 0.0)
+    assert all(math.isfinite(v) for v in (*dist.moments(), cross_moment(dist, Uniform())))
+    # F is exact at grid nodes and constant on empty cells, so there the
+    # generalized inverse returns the left end of each flat run, never more
+    grid = dist._grid
+    empty = np.flatnonzero(np.diff(dist._cdf) == 0.0)
+    x = np.concatenate([grid, 0.5 * (grid[empty] + grid[empty + 1])])
+    f = dist.cdf(x)
+    assert np.all(dist.quantile(f[f > 0.0]) <= x[f > 0.0])
+
+
 # --- moments ---------------------------------------------------------------
 
 def test_uniform_moments():
@@ -131,6 +219,21 @@ def test_moment_identity_by_quadrature(dist):
 def test_variance_quarter_bound(dist):
     assert 0.0 <= dist.second_moment / 4.0 <= 0.25
     assert dist.variance >= 0.0
+
+
+def _truncated_normal_m2_reference(sigma2):
+    # Gauss-Legendre on the two defining integrals over [-1, 1]; the deficit
+    # from 1/3 is integrated against expm1, so no digits cancel at wide sigma
+    x, w = np.polynomial.legendre.leggauss(80)
+    f1 = np.expm1(-0.5 * x * x / sigma2)
+    return 1.0 / 3.0 - np.sum(w * (1.0 / 3.0 - x * x) * f1) / (2.0 + np.sum(w * f1))
+
+
+@pytest.mark.parametrize("sigma2", [0.05, 0.5, 0.999999, 1.0, 4.0, 1e4, 1e6, 1e8, 1e10, 1e14])
+def test_truncated_normal_second_moment_for_any_sigma(sigma2):
+    m2 = TruncatedNormal(sigma2).second_moment
+    assert m2 == pytest.approx(_truncated_normal_m2_reference(sigma2), abs=1e-15)
+    assert 0.0 <= m2 <= 1.0 / 3.0
 
 
 def test_degenerate_is_point_mass_at_zero():
@@ -320,3 +423,12 @@ def test_kde_equality_and_immutability():
     assert k1 != k3
     with pytest.raises(ValueError):
         k1.sample[0] = 0.0
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_family_hashes_by_content(family):
+    # cross moments and oracle quantiles are cached on the latents themselves
+    dist = make_latent(np.random.default_rng(8), family)
+    twin = make_latent(np.random.default_rng(8), family)
+    assert dist is not twin and dist == twin
+    assert hash(dist) == hash(twin)
