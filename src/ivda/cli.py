@@ -359,7 +359,9 @@ def _build_parser():
 
     p = sub.add_parser("distance", help="pairwise distance matrix")
     add_frame_args(p)
-    p.add_argument("--threads", type=int, help="worker thread cap (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="threads that share out the matrix's fixed row blocks; "
+                        "the output is the same for any count (default 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_distance)
 

@@ -9,7 +9,6 @@ Every fit is deterministic: no randomness enters any routine here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,11 +131,14 @@ def estimate_modes_pearson(means, medians):
 
 
 def _binom_two_sided_p(k, n):
-    # exact doubled-tail p-value for k successes out of n at proportion 1/2
-    denom = 1 << n
-    lower = sum(math.comb(n, i) for i in range(0, k + 1))
-    upper = sum(math.comb(n, i) for i in range(k, n + 1))
-    p = Fraction(2 * min(lower, upper), denom)
+    # exact doubled-tail p-value for k successes out of n at proportion 1/2;
+    # by symmetry the smaller tail is C(n, 0) + ... + C(n, min(k, n - k)),
+    # built term by term so the work stays linear in the tail length
+    term = tail = 1
+    for i in range(min(k, n - k)):
+        term = term * (n - i) // (i + 1)
+        tail += term
+    p = Fraction(2 * tail, 1 << n)
     return float(min(p, Fraction(1)))
 
 

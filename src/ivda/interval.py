@@ -196,6 +196,24 @@ class IntervalFrame:
                           for j in range(self.p))
         return Box(intervals, self.latents)
 
+    def checked_centres_ranges(self):
+        """``centres_ranges`` of a frame whose every row would pass
+        ``row_box``; the first row that would not raises a DomainError
+        naming the row and the variable."""
+        self.require_latents()
+
+        def refuse(bad, what):
+            if np.any(bad):
+                i, j = np.argwhere(bad)[0]
+                raise DomainError(f"row {i}, variable {self.names[j]}: {what}")
+
+        refuse(~(np.isfinite(self._lower) & np.isfinite(self._upper)), "a non-finite bound")
+        refuse(self._lower > self._upper, "lower > upper")
+        c, r = self.centres_ranges()
+        degenerate = np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
+        refuse((r == 0.0) & ~degenerate, "zero range and must use the degenerate latent")
+        return c, r
+
     def row_label(self, i):
         return self.labels[i] if self.labels is not None else str(i)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
 from .quadrature import integrate
-from .special import betainc_inv, norm_cdf, norm_pdf, norm_ppf
+from .special import _norm_ppf_offset, betainc_inv, norm_cdf, norm_pdf, norm_ppf
 
 __all__ = [
     "LatentDistribution",
@@ -168,6 +168,11 @@ class TruncatedNormal(LatentDistribution):
     def _quantile(self, t):
         sigma = math.sqrt(self.sigma2)
         k = 1.0 / sigma
+        if self.sigma2 >= 1.0:
+            # wide sigma: lo + t z would cancel to ~1e-16 sigma absolute, so
+            # invert at the offset (t - 1/2) z from 1/2, with z = erf(k / sqrt 2)
+            z = math.erf(k / math.sqrt(2.0))
+            return np.clip(sigma * _norm_ppf_offset((t - 0.5) * z), -1.0, 1.0)
         lo = norm_cdf(-k)
         z = 1.0 - 2.0 * lo
         # cancellation near t = 1 can overshoot the support edge by ~1e-11

@@ -6,9 +6,14 @@ collapses to closed forms in the centres, ranges, and the first two moments
 of the latent weights; ``oracle_dist_sq`` integrates the defining quantile
 integral directly and serves as the independent check on every closed form.
 
-All functions are pure over immutable inputs; the pairwise distance-matrix
-helper may fan out across threads because every entry is computed
-independently of evaluation order.
+The published forms are scalar functions of one pair. ``distance_matrix``
+and the barycentre's Frechet variance instead run one column engine on whole
+(centres, ranges) arrays: each column shares one latent, so it adds
+dc^2 + E[U] dc dr + E[U^2]/4 dr^2 to every squared distance, evaluated in
+``dist_sq_iid``'s operation order and summed in ``dist_sq_box``'s column
+order, which makes every entry bitwise equal to the scalar form's. The
+matrix is filled in fixed row blocks that threads may share out; the block
+size does not depend on the thread count, so neither do the results.
 """
 
 from __future__ import annotations
@@ -284,26 +289,50 @@ def iso_distance_set(x0, delta, radius, n_points=256):
     return np.column_stack([c, r])
 
 
+# rows per distance-matrix block: a fixed size bounds the temporaries at
+# _ROW_BLOCK x n per column and keeps results independent of the threads
+_ROW_BLOCK = 64
+
+
+def _dist_sq_columns(c1, r1, c2, r2, moments):
+    """Shared-latent squared distances summed over the last (column) axis.
+
+    ``(c1, r1)`` and ``(c2, r2)`` are centres and ranges that broadcast
+    against each other; ``moments`` holds each column's latent (mean,
+    second moment). Each column is ``dist_sq_iid`` clamped at zero, added
+    left to right as in ``dist_sq_box``, so entries match them bitwise.
+    """
+    total = 0.0
+    for j, (mean, m2) in enumerate(moments):
+        dc = c1[..., j] - c2[..., j]
+        dr = r1[..., j] - r2[..., j]
+        value = dc * dc + 0.25 * m2 * dr * dr + mean * dc * dr
+        total = total + np.where(value > 0.0, value, 0.0)
+    return total
+
+
 def distance_matrix(frame, threads=1):
     """n x n matrix of (non-squared) pairwise Mallows distances.
 
-    Entries are independent, so the thread fan-out cannot change results.
+    Rows are computed in fixed blocks of ``_ROW_BLOCK`` against all rows;
+    ``threads > 1`` shares the blocks out, and since the blocks never change
+    the matrix is bitwise the same for every thread count.
     """
-    frame.require_latents()
-    boxes = [frame.row_box(i) for i in range(frame.n)]
-    n = len(boxes)
-    out = np.zeros((n, n))
+    c, r = frame.checked_centres_ranges()
+    moments = [(lat.mean, lat.second_moment) for lat in frame.latents]
+    n = frame.n
+    out = np.empty((n, n))
 
-    def fill_row(i):
-        for j in range(i + 1, n):
-            d = math.sqrt(dist_sq_box(boxes[i], boxes[j]))
-            out[i, j] = d
-            out[j, i] = d
+    def fill_block(start):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = np.sqrt(_dist_sq_columns(c[rows, None], r[rows, None], c, r, moments))
 
-    if threads > 1:
+    starts = range(0, n, _ROW_BLOCK)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill_row, range(n)))
+            list(pool.map(fill_block, starts))
     else:
-        for i in range(n):
-            fill_row(i)
+        for start in starts:
+            fill_block(start)
+    np.fill_diagonal(out, 0.0)
     return out

@@ -6,10 +6,10 @@ to the observations, equal to the trace of the symbolic covariance matrix.
 ``covariance_quantile_oracle`` integrates the defining quantile-function
 products directly and is the independent check on the closed forms.
 
-The little linear algebra needed here (Schur products, traces, a cyclic
-Jacobi eigensolver, the diagonal inverse square root behind correlation
-matrices) is written out explicitly: p stays small and every arithmetic step
-should be auditable without reaching for a solver library.
+The little linear algebra needed here (Schur products, traces, the
+diagonal inverse square root behind correlation matrices) is written out
+explicitly; eigenvalues come from ``np.linalg.eigvalsh`` with structural
+zeros split off first.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
 from .interval import Box, Interval
-from .mallows import MomentSummary, dist_sq_box
+from .mallows import MomentSummary, _dist_sq_columns
 from .quadrature import integrate
 
 __all__ = [
@@ -59,50 +59,23 @@ def matrix_trace(a):
     return math.fsum(a[i, i] for i in range(a.shape[0]))
 
 
-def jacobi_eigenvalues(a, tol=1e-14, max_sweeps=60):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigenvalues(a):
+    """Eigenvalues of a symmetric matrix, sorted ascending.
 
-    Returns the eigenvalues sorted ascending. Coordinates whose row and
-    column are exactly zero are never rotated, so structural zero
-    eigenvalues come out exactly zero.
+    Coordinates whose row and column are exactly zero are split off before
+    ``np.linalg.eigvalsh`` sees the rest, so structural zero eigenvalues
+    (one per degenerate dimension of a Mahalanobis form) come out exactly
+    zero.
     """
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("eigensolve requires a square matrix")
-    n = m.shape[0]
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
+    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * scale:
         raise DomainError("eigensolve requires a symmetric matrix")
-    if n == 1:
-        return np.array([m[0, 0]])
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(m[i, j] ** 2 for i in range(n)
-                            for j in range(n) if i != j))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = m[p, p], m[q, q]
-                m[p, p] = app - t * apq
-                m[q, q] = aqq + t * apq
-                m[p, q] = m[q, p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = m[i, p], m[i, q]
-                    m[i, p] = m[p, i] = c * aip - s * aiq
-                    m[i, q] = m[q, i] = s * aip + c * aiq
-    return np.sort(np.diag(m))
+    live = np.any(m != 0.0, axis=0) | np.any(m != 0.0, axis=1)
+    eigs = np.linalg.eigvalsh(m[np.ix_(live, live)]) if np.any(live) else np.empty(0)
+    return np.sort(np.concatenate([eigs, np.zeros(m.shape[0] - eigs.size)]))
 
 
 # --- covariance building blocks ------------------------------------------
@@ -160,13 +133,15 @@ def sample_barycentre(frame):
     distance of the observations to that box."""
     if frame.n < 1:
         raise DataValidationError("cannot take the barycentre of an empty frame")
-    frame.require_latents()
-    c, r = frame.centres_ranges()
+    c, r = frame.checked_centres_ranges()
     cbar = c.mean(axis=0)
     rbar = r.mean(axis=0)
     box = Box(tuple(Interval.from_centre_range(cb, rb) for cb, rb in zip(cbar, rbar)),
               frame.latents)
-    vf = math.fsum(dist_sq_box(frame.row_box(i), box) for i in range(frame.n)) / frame.n
+    # each row's dist_sq_box to the box, bitwise, from the column engine
+    moments = [(lat.mean, lat.second_moment) for lat in frame.latents]
+    sq = _dist_sq_columns(c, r, box.centres, box.ranges, moments)
+    vf = math.fsum(sq.tolist()) / frame.n
     return Barycentre(box=box, centres=cbar, ranges=rbar, frechet_variance=vf)
 
 

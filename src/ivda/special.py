@@ -29,6 +29,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # ufunc wrappers keep tail accuracy of the libm implementations
 _erfc_u = np.frompyfunc(math.erfc, 1, 1)
+_erf_u = np.frompyfunc(math.erf, 1, 1)
 
 
 def _maybe_scalar(out, like):
@@ -68,6 +69,28 @@ def _poly(coeffs, x):
     return out
 
 
+def _ppf_central(r):
+    # Acklam's central branch, in the offset r = q - 1/2
+    s = r * r
+    return r * _poly(_PPF_A, s) / (_poly(_PPF_B, s) * s + 1.0)
+
+
+def _norm_ppf_offset(r):
+    """Phi^{-1}(1/2 + r) for |r| < 1/2 - 0.02425, without forming 1/2 + r.
+
+    Callers whose probability is a small offset from 1/2 keep its full
+    relative accuracy this way; the Halley steps use Phi(x) - 1/2 =
+    erf(x / sqrt 2) / 2, which has no cancellation either.
+    """
+    r = np.asarray(r, dtype=float)
+    x = _ppf_central(r)
+    for _ in range(2):
+        err = 0.5 * np.asarray(_erf_u(x / _SQRT2), dtype=float) - r
+        u = err * _SQRT_2PI * np.exp(0.5 * x * x)
+        x = x - u / (1.0 + 0.5 * x * u)
+    return x
+
+
 def _ppf_lower_half(q):
     # q in (0, 0.5]; result is <= 0
     x = np.empty_like(q)
@@ -77,9 +100,7 @@ def _ppf_lower_half(q):
         x[tail] = _poly(_PPF_C, u) / (_poly(_PPF_D, u) * u + 1.0)
     mid = ~tail
     if np.any(mid):
-        r = q[mid] - 0.5
-        s = r * r
-        x[mid] = r * _poly(_PPF_A, s) / (_poly(_PPF_B, s) * s + 1.0)
+        x[mid] = _ppf_central(q[mid] - 0.5)
     # two Halley refinements; skipped where exp(x^2/2) would overflow
     for _ in range(2):
         safe = x > -37.0

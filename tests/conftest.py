@@ -54,6 +54,15 @@ def make_frame(rng, n, p, families=CHEAP_FAMILIES):
     return IntervalFrame(lower, upper, names, latents=latents)
 
 
+def make_mixed_frame(rng, n):
+    """One column of each of ALL_FAMILIES plus a zero-range Degenerate one."""
+    p = len(ALL_FAMILIES) + 1
+    lower, upper = make_interval_arrays(rng, n, p)
+    upper[:, -1] = lower[:, -1]
+    latents = tuple(make_latent(rng, family) for family in ALL_FAMILIES) + (Degenerate(),)
+    return IntervalFrame(lower, upper, tuple(f"v{j}" for j in range(p)), latents=latents)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240815)

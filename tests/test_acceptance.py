@@ -362,7 +362,7 @@ def test_criterion_9_rtt_machinery():
         assert abs(cross_moment(d1, d2) - oracle) < 1e-7
 
     # exact binomial p-values against an independent log-space tail sum
-    for n, k in ((564, 200), (564, 282), (101, 33), (17, 0)):
+    for n, k in ((564, 200), (564, 282), (101, 33), (17, 0), (20000, 9930)):
         logs = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
                 - n * math.log(2.0) for i in range(n + 1)]
         lower = math.fsum(math.exp(v) for v in logs[:k + 1])

@@ -236,6 +236,32 @@ def test_truncated_normal_second_moment_for_any_sigma(sigma2):
     assert 0.0 <= m2 <= 1.0 / 3.0
 
 
+_QUANTILE_T = np.concatenate([np.linspace(0.0, 1.0, 101)[1:-1],
+                              [1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12]])
+
+
+@pytest.mark.parametrize("sigma2", [1e4, 1e8, 1e12])
+def test_truncated_normal_quantile_at_wide_sigma(sigma2):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    s2 = mpmath.mpf(sigma2)
+    lo = mpmath.ncdf(-1 / mpmath.sqrt(s2))
+    expected = np.array([
+        float(mpmath.sqrt(2 * s2) * mpmath.erfinv(2 * (lo + mpmath.mpf(t) * (1 - 2 * lo)) - 1))
+        for t in _QUANTILE_T])
+    got = TruncatedNormal(sigma2)._quantile(_QUANTILE_T)
+    assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("sigma2", [0.01, 0.25, 0.999999])
+def test_truncated_normal_quantile_below_unit_sigma_is_the_defining_formula(sigma2):
+    from ivda.special import norm_cdf, norm_ppf
+    sigma = math.sqrt(sigma2)
+    lo = norm_cdf(-1.0 / sigma)
+    expected = np.clip(sigma * norm_ppf(lo + _QUANTILE_T * (1.0 - 2.0 * lo)), -1.0, 1.0)
+    assert np.array_equal(TruncatedNormal(sigma2)._quantile(_QUANTILE_T), expected)
+
+
 def test_degenerate_is_point_mass_at_zero():
     d = Degenerate()
     t = np.linspace(0.1, 1.0, 10)

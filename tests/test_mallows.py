@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from ivda import (
     mahalanobis_form,
     oracle_dist_sq,
     reduced_vector,
+    sample_barycentre,
 )
 from ivda.errors import DomainError
-from ivda.mallows import MomentSummary
+from ivda.mallows import _ROW_BLOCK, MomentSummary
 from ivda.moments import jacobi_eigenvalues
 
-from conftest import make_latent
+from conftest import make_interval_arrays, make_latent, make_mixed_frame
 
 
 def random_interval(rng, scale=4.0):
@@ -274,13 +276,54 @@ def test_iso_distance_domain():
 # --- distance matrices --------------------------------------------------------
 
 def test_distance_matrix_properties(rng):
-    lower = rng.uniform(-3, 0, size=(8, 3))
-    upper = lower + rng.uniform(0.1, 2, size=(8, 3))
+    n = 2 * _ROW_BLOCK + 5          # three row blocks, so threads share them out
+    lower = rng.uniform(-3, 0, size=(n, 3))
+    upper = lower + rng.uniform(0.1, 2, size=(n, 3))
     frame = IntervalFrame(lower, upper, ("a", "b", "c"),
                           latents=(Uniform(), Triangular(0.2), Uniform()))
     d1 = distance_matrix(frame)
-    assert d1.shape == (8, 8)
+    assert d1.shape == (n, n)
     assert np.allclose(d1, d1.T)
     assert np.all(np.diag(d1) == 0.0)
-    d4 = distance_matrix(frame, threads=4)
-    assert np.array_equal(d1, d4)   # bitwise identical regardless of threading
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # frequent switches while blocks fill `out`
+    try:
+        for threads in (2, 4):
+            # bitwise identical regardless of threading
+            assert np.array_equal(d1, distance_matrix(frame, threads=threads))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_distance_matrix_is_bitwise_the_scalar_box_loop(rng):
+    frame = make_mixed_frame(rng, _ROW_BLOCK + 7)
+    boxes = [frame.row_box(i) for i in range(frame.n)]
+    expected = np.zeros((frame.n, frame.n))
+    for i in range(frame.n):
+        for j in range(i + 1, frame.n):
+            expected[i, j] = expected[j, i] = math.sqrt(dist_sq_box(boxes[i], boxes[j]))
+    for threads in (1, 2, 4):
+        assert np.array_equal(distance_matrix(frame, threads=threads), expected)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("infinite upper", "a non-finite bound"),
+    ("nan lower", "a non-finite bound"),
+    ("crossed", "lower > upper"),
+    ("zero range", "zero range and must use the degenerate latent"),
+])
+def test_engine_rejects_invalid_rows(rng, case, message):
+    lower, upper = make_interval_arrays(rng, 5, 3)
+    if case == "infinite upper":
+        upper[2, 1] = np.inf
+    elif case == "nan lower":
+        lower[2, 1] = np.nan
+    elif case == "crossed":
+        lower[2, 1] = upper[2, 1] + 1.0
+    else:
+        lower[2, 1] = upper[2, 1]
+    frame = IntervalFrame(lower, upper, ("a", "b", "c"),
+                          latents=(Uniform(), Triangular(0.2), Uniform()))
+    for call in (distance_matrix, sample_barycentre):
+        with pytest.raises(DomainError, match=f"^row 2, variable b: {message}$"):
+            call(frame)

@@ -21,7 +21,7 @@ from ivda import (
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda.moments import matrix_trace, schur_product
 
-from conftest import make_frame
+from conftest import make_frame, make_mixed_frame
 
 
 def two_row_uniform_frame():
@@ -103,6 +103,15 @@ def test_frechet_variance_equals_mean_squared_distance(rng):
         direct = math.fsum(dist_sq_box(frame.row_box(i), bary.box)
                            for i in range(frame.n)) / frame.n
         assert abs(trace_form - direct) < 1e-9
+
+
+def test_frechet_variance_is_bitwise_fsum_of_box_distances(rng):
+    for n in (1, 2, 9, 40):
+        frame = make_mixed_frame(rng, n)
+        bary = sample_barycentre(frame)
+        direct = math.fsum(dist_sq_box(frame.row_box(i), bary.box)
+                           for i in range(frame.n)) / frame.n
+        assert bary.frechet_variance == direct
 
 
 def test_frechet_variance_constant_frame_is_zero():
