@@ -70,7 +70,11 @@ def _parse_latent_shorthand(text):
         if len(values) > len(fields):
             raise DomainError(f"too many parameters for latent family {name!r}")
         for key, value in zip(fields, values):
-            spec[key] = float(value)
+            try:
+                spec[key] = float(value)
+            except ValueError:
+                raise DomainError(
+                    f"latent family {name!r}: parameter {value!r} is not a number") from None
     return spec
 
 
@@ -83,8 +87,10 @@ def _resolve_latents(frame, latents_arg, base_dir="."):
     if latents_arg is None:
         raise DataValidationError("no latent specification given (use --latents)")
     path = Path(latents_arg)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json":
         mapping = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(mapping, dict):
+            raise DataValidationError(f"{path}: latent file must hold a JSON object")
         resolved = {name: latent_from_dict(spec, base_dir=path.parent)
                     for name, spec in mapping.items()}
     else:
@@ -249,7 +255,6 @@ def _cmd_covariance(args, correlation=False):
         matrix = correlation_matrix(sigma7, frame.names) if correlation else sigma7
     _write_matrix_csv(matrix, frame.names, args.out)
     if args.report_out and args.estimator == "barycentre":
-        cov = symbolic_covariance(frame, ddof=ddof)
         report = {
             "divisor": cov.divisor,
             "names": list(cov.names),

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
-from .latent import Kde, ShiftedBeta, Triangular, cross_moment
+from .latent import Kde, ShiftedBeta, Triangular
 from .mallows import MomentSummary
 
 __all__ = [
@@ -216,22 +216,12 @@ def empirical_moment_summary(variables):
     variables = list(variables)
     if not variables:
         raise DomainError("no variables given")
-    latents = []
-    psi = np.empty(len(variables))
-    m2 = np.empty(len(variables))
+    summary = MomentSummary.from_latents(
+        var.latent if var.latent is not None else fit_kde(var.sample) for var in variables)
     for i, var in enumerate(variables):
-        lat = var.latent if var.latent is not None else fit_kde(var.sample)
-        latents.append(lat)
         if var.sample is not None:
-            psi[i] = float(var.sample.mean())
-            m2[i] = float(np.mean(var.sample ** 2))
-        else:
-            psi[i] = lat.mean
-            m2[i] = lat.second_moment
-    p = len(variables)
-    euu = np.empty((p, p))
-    for i in range(p):
-        euu[i, i] = m2[i]
-        for j in range(i + 1, p):
-            euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
-    return MomentSummary(psi=psi, delta=m2 / 4.0, euu=euu)
+            m2 = float(np.mean(var.sample ** 2))
+            summary.psi[i] = float(var.sample.mean())
+            summary.delta[i] = m2 / 4.0
+            summary.euu[i, i] = m2
+    return summary

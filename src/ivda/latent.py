@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataValidationError, DomainError, NumericFailure
+from .errors import DataValidationError, DomainError, IvdaError, NumericFailure
 from .quadrature import integrate
 from .special import _norm_ppf_offset, betainc_inv, norm_cdf, norm_pdf, norm_ppf
 
@@ -175,8 +175,10 @@ class TruncatedNormal(LatentDistribution):
             return np.clip(sigma * _norm_ppf_offset((t - 0.5) * z), -1.0, 1.0)
         lo = norm_cdf(-k)
         z = 1.0 - 2.0 * lo
-        # cancellation near t = 1 can overshoot the support edge by ~1e-11
-        return np.clip(sigma * norm_ppf(lo + t * z), -1.0, 1.0)
+        # lo + t z near 1 keeps few digits of its distance from 1, so use the
+        # odd symmetry Q(t) = -Q(1 - t), with 1 - t exact for t > 1/2
+        q = sigma * norm_ppf(lo + np.minimum(t, 1.0 - t) * z)
+        return np.clip(np.where(t > 0.5, -q, q), -1.0, 1.0)
 
     @property
     def mean(self):
@@ -415,21 +417,25 @@ def _closed_cross_moment(d1, d2):
     return None
 
 
+_CROSS_MOMENT_TOL = 1e-9
+
+
 @functools.lru_cache(maxsize=4096)
-def _cached_cross_moment(d1, d2, tol):
+def _cached_cross_moment(d1, d2):
     cuts = set(d1.breakpoints()) | set(d2.breakpoints())
     return integrate(lambda t: d1._quantile(t) * d2._quantile(t),
-                     breakpoints=cuts, tol=tol)
+                     breakpoints=cuts, tol=_CROSS_MOMENT_TOL)
 
 
-def cross_moment(d1, d2, method="auto", tol=1e-9):
+def cross_moment(d1, d2, method="auto"):
     """Comonotone product moment: the integral of q1(t) * q2(t) over (0, 1).
 
     Symmetric in its arguments; equals the second moment when the two
     distributions coincide. ``method`` selects between the closed forms
-    known for specific pairs ("closed"), quadrature on the product of
-    quantile functions ("quadrature"), or closed-form-with-fallback
-    ("auto", the default). Any pair of ``Kde`` and ``Uniform`` is closed.
+    known for specific pairs ("closed"), adaptive quadrature of the product
+    of quantile functions to an absolute tolerance of 1e-9 ("quadrature"),
+    or closed-form-with-fallback ("auto", the default). Any pair of ``Kde``
+    and ``Uniform`` is closed; quadrature results are cached per pair.
     """
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"unknown cross_moment method {method!r}")
@@ -441,7 +447,7 @@ def cross_moment(d1, d2, method="auto", tol=1e-9):
             raise DomainError(
                 f"no closed-form cross moment for {type(d1).__name__} and "
                 f"{type(d2).__name__}")
-    return _cached_cross_moment(d1, d2, tol)
+    return _cached_cross_moment(d1, d2)
 
 
 def quantile_correlation(d1, d2):
@@ -495,7 +501,11 @@ def latent_to_dict(dist, sample_path=None):
 
 
 def latent_from_dict(spec, base_dir="."):
-    """Rebuild a latent distribution from its JSON dict."""
+    """Rebuild a latent distribution from its JSON dict.
+
+    A malformed spec raises ``DataValidationError``; a well-formed parameter
+    outside its family's domain raises ``DomainError``.
+    """
     if not isinstance(spec, dict) or "family" not in spec:
         raise DataValidationError("latent spec must be a dict with a 'family' key")
     family = spec["family"]
@@ -518,4 +528,8 @@ def latent_from_dict(spec, base_dir="."):
             return Kde(sample, bandwidth=spec.get("bandwidth"))
     except KeyError as exc:
         raise DataValidationError(f"latent spec missing field {exc}") from exc
+    except IvdaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataValidationError(f"malformed {family!r} latent spec: {exc}") from exc
     raise DataValidationError(f"unknown latent family {family!r}")

@@ -19,6 +19,7 @@ size does not depend on the thread count, so neither do the results.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -158,6 +159,17 @@ def oracle_dist_sq(x1, u1, x2, u2, panels=256):
     return float(np.sum(half * ((diff * diff) @ gauss_weights())))
 
 
+def _latent_moments(latents):
+    """(psi, delta) arrays: each latent's mean and second moment over four.
+
+    The one place the vectorised forms read latent moments; the published
+    scalar forms read them from the latents directly.
+    """
+    psi = np.array([lat.mean for lat in latents], dtype=float)
+    delta = np.array([lat.second_moment for lat in latents], dtype=float) / 4.0
+    return psi, delta
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """First and second latent moments of a p-dimensional latent vector.
@@ -175,15 +187,11 @@ class MomentSummary:
         latents = tuple(latents)
         if any(lat is None for lat in latents):
             raise DomainError("every dimension needs a latent distribution")
-        p = len(latents)
-        psi = np.array([lat.mean for lat in latents])
-        m2 = np.array([lat.second_moment for lat in latents])
-        euu = np.empty((p, p))
-        for i in range(p):
-            euu[i, i] = m2[i]
-            for j in range(i + 1, p):
-                euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
-        return cls(psi=psi, delta=m2 / 4.0, euu=euu)
+        psi, delta = _latent_moments(latents)
+        euu = np.diag(4.0 * delta)
+        for i, j in itertools.combinations(range(len(latents)), 2):
+            euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
+        return cls(psi=psi, delta=delta, euu=euu)
 
     @property
     def p(self):
@@ -226,8 +234,7 @@ def mahalanobis_form(latents):
     if not latents:
         raise DomainError("at least one latent distribution is required")
     p = len(latents)
-    psi = np.array([lat.mean for lat in latents])
-    delta = np.array([lat.second_moment for lat in latents]) / 4.0
+    psi, delta = _latent_moments(latents)
     variances = 4.0 * delta - psi ** 2
 
     h = np.zeros((2 * p, 2 * p))
@@ -294,19 +301,20 @@ def iso_distance_set(x0, delta, radius, n_points=256):
 _ROW_BLOCK = 64
 
 
-def _dist_sq_columns(c1, r1, c2, r2, moments):
+def _dist_sq_columns(c1, r1, c2, r2, psi, delta):
     """Shared-latent squared distances summed over the last (column) axis.
 
     ``(c1, r1)`` and ``(c2, r2)`` are centres and ranges that broadcast
-    against each other; ``moments`` holds each column's latent (mean,
-    second moment). Each column is ``dist_sq_iid`` clamped at zero, added
-    left to right as in ``dist_sq_box``, so entries match them bitwise.
+    against each other; ``psi`` and ``delta`` come from ``_latent_moments``.
+    Each column is ``dist_sq_iid`` clamped at zero (delta is exactly
+    0.25 * second moment), added left to right as in ``dist_sq_box``, so
+    entries match them bitwise.
     """
     total = 0.0
-    for j, (mean, m2) in enumerate(moments):
+    for j in range(psi.size):
         dc = c1[..., j] - c2[..., j]
         dr = r1[..., j] - r2[..., j]
-        value = dc * dc + 0.25 * m2 * dr * dr + mean * dc * dr
+        value = dc * dc + delta[j] * dr * dr + psi[j] * dc * dr
         total = total + np.where(value > 0.0, value, 0.0)
     return total
 
@@ -319,13 +327,13 @@ def distance_matrix(frame, threads=1):
     the matrix is bitwise the same for every thread count.
     """
     c, r = frame.checked_centres_ranges()
-    moments = [(lat.mean, lat.second_moment) for lat in frame.latents]
+    psi, delta = _latent_moments(frame.latents)
     n = frame.n
     out = np.empty((n, n))
 
     def fill_block(start):
         rows = slice(start, start + _ROW_BLOCK)
-        out[rows] = np.sqrt(_dist_sq_columns(c[rows, None], r[rows, None], c, r, moments))
+        out[rows] = np.sqrt(_dist_sq_columns(c[rows, None], r[rows, None], c, r, psi, delta))
 
     starts = range(0, n, _ROW_BLOCK)
     if threads > 1 and len(starts) > 1:

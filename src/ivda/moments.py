@@ -6,9 +6,11 @@ to the observations, equal to the trace of the symbolic covariance matrix.
 ``covariance_quantile_oracle`` integrates the defining quantile-function
 products directly and is the independent check on the closed forms.
 
-The little linear algebra needed here (Schur products, traces, the
-diagonal inverse square root behind correlation matrices) is written out
-explicitly; eigenvalues come from ``np.linalg.eigvalsh`` with structural
+Every closed form reads the latent means and second moments through
+``mallows._latent_moments``; only the covariance also needs the cross
+moments, so only it builds a full ``MomentSummary``. Schur products, traces
+and the diagonal scaling behind correlation matrices are plain numpy
+operators; eigenvalues come from ``np.linalg.eigvalsh`` with structural
 zeros split off first.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
 from .interval import Box, Interval
-from .mallows import MomentSummary, _dist_sq_columns
+from .mallows import MomentSummary, _dist_sq_columns, _latent_moments
 from .quadrature import integrate
 
 __all__ = [
@@ -35,28 +37,8 @@ __all__ = [
     "covariance_quantile_oracle",
     "cov_model7",
     "frobenius_diff",
-    "schur_product",
-    "matrix_trace",
     "jacobi_eigenvalues",
 ]
-
-
-# --- small dense helpers -------------------------------------------------
-
-def schur_product(a, b):
-    """Entrywise product of two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DomainError("shape mismatch in Schur product")
-    return a * b
-
-
-def matrix_trace(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("trace requires a square matrix")
-    return math.fsum(a[i, i] for i in range(a.shape[0]))
 
 
 def jacobi_eigenvalues(a):
@@ -139,8 +121,7 @@ def sample_barycentre(frame):
     box = Box(tuple(Interval.from_centre_range(cb, rb) for cb, rb in zip(cbar, rbar)),
               frame.latents)
     # each row's dist_sq_box to the box, bitwise, from the column engine
-    moments = [(lat.mean, lat.second_moment) for lat in frame.latents]
-    sq = _dist_sq_columns(c, r, box.centres, box.ranges, moments)
+    sq = _dist_sq_columns(c, r, box.centres, box.ranges, *_latent_moments(frame.latents))
     vf = math.fsum(sq.tolist()) / frame.n
     return Barycentre(box=box, centres=cbar, ranges=rbar, frechet_variance=vf)
 
@@ -150,38 +131,31 @@ def frechet_variance(frame):
     if frame.n < 1:
         raise DataValidationError("empty frame")
     frame.require_latents()
-    summary = MomentSummary.from_latents(frame.latents)
+    psi, delta = _latent_moments(frame.latents)
     s_cc, s_rr, s_cr = _covariance_parts(frame, ddof=0)
-    return math.fsum(s_cc[i, i] + summary.delta[i] * s_rr[i, i]
-                     + summary.psi[i] * s_cr[i, i]
-                     for i in range(frame.p))
+    return math.fsum((np.diag(s_cc) + delta * np.diag(s_rr) + psi * np.diag(s_cr)).tolist())
 
 
 def symbolic_covariance(frame, ddof=0):
     """Symbolic covariance matrix of the frame.
 
-    Uses the identical-latent shortcut (S_CC + delta S_RR plus the mean
-    cross term) when every variable shares one latent; the general path
-    takes the Schur product with the full cross-moment matrix. Both routes
-    agree by construction. ``ddof=1`` switches to the n-1 divisor and is
-    recorded in the result.
+    Sigma_B = S_CC + E_UU o S_RR / 4 + (S_CR Psi + Psi S_RC) / 2, with o the
+    Schur (entrywise) product, E_UU the latent cross-moment matrix and Psi
+    the diagonal of latent means. When every variable shares one latent,
+    E_UU holds its second moment throughout, so the same formula reduces to
+    S_CC + delta S_RR plus the mean cross term. ``ddof=1`` switches to the
+    n-1 divisor and is recorded in the result.
     """
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
     frame.require_latents()
     summary = MomentSummary.from_latents(frame.latents)
     s_cc, s_rr, s_cr = _covariance_parts(frame, ddof=ddof)
-    latents = frame.latents
-    if all(lat == latents[0] for lat in latents[1:]):
-        delta = latents[0].second_moment / 4.0
-        e_u = latents[0].mean
-        sigma = s_cc + delta * s_rr + 0.5 * e_u * (s_cr + s_cr.T)
-    else:
-        psi = np.diag(summary.psi)
-        sigma = (s_cc
-                 + 0.25 * schur_product(summary.euu, s_rr)
-                 + 0.5 * (s_cr @ psi)
-                 + 0.5 * (psi @ s_cr.T))
+    psi = summary.psi
+    sigma = (s_cc
+             + 0.25 * (summary.euu * s_rr)
+             + 0.5 * (s_cr * psi)
+             + 0.5 * (psi[:, None] * s_cr.T))
     return SymbolicCovariance(sigma_b=sigma, sigma_cc=s_cc, sigma_rr=s_rr,
                               sigma_cr=s_cr, summary=summary,
                               names=frame.names,
@@ -191,19 +165,14 @@ def symbolic_covariance(frame, ddof=0):
 def correlation_matrix(sigma, names=None):
     """D^{-1/2} Sigma D^{-1/2} for a covariance-like symmetric matrix."""
     sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    d = np.array([sigma[i, i] for i in range(p)])
-    for i in range(p):
-        if d[i] <= 0.0:
-            label = names[i] if names is not None else str(i)
-            raise NumericFailure(
-                f"zero variance for variable {label!r}: no correlation")
+    d = np.diag(sigma)
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        label = names[bad[0]] if names is not None else str(bad[0])
+        raise NumericFailure(f"zero variance for variable {label!r}: no correlation")
     root = np.sqrt(d)
-    corr = np.empty_like(sigma)
-    for i in range(p):
-        for j in range(p):
-            corr[i, j] = sigma[i, j] / (root[i] * root[j])
-        corr[i, i] = 1.0
+    corr = sigma / np.outer(root, root)
+    np.fill_diagonal(corr, 1.0)
     return corr
 
 

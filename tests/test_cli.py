@@ -203,3 +203,26 @@ def test_config_file_defaults_with_flag_override(tmp_path, capsys, intervals_csv
                          "--out", str(tmp_path / "flag_wins.csv"))
     assert code == 0
     assert (tmp_path / "flag_wins.csv").exists()
+
+
+@pytest.mark.parametrize("latents, message", [
+    ({"family": "triangular", "mode": "abc"}, "abc"),
+    ({"family": "triangular", "mode": None}, "None"),
+    ({"family": "kde", "sample_path": "u.txt"}, "abc"),
+    ("triangular:abc", "not a number"),
+    ("missing.json", "No such file"),
+], ids=["mode-not-a-number", "mode-null", "kde-sample-not-numeric",
+        "shorthand-not-a-number", "missing-latent-file"])
+def test_malformed_latent_spec_exits_2(tmp_path, capsys, intervals_csv, latents, message):
+    if isinstance(latents, dict):
+        (tmp_path / "u.txt").write_text("0.1\nabc\n0.2\n", encoding="utf-8")
+        path = tmp_path / "latents.json"
+        path.write_text(json.dumps({"food": latents}), encoding="utf-8")
+        latents = str(path)
+    code, _, stderr = run_cli(capsys, "covariance", "--intervals", intervals_csv,
+                              "--latents", latents,
+                              "--out", str(tmp_path / "cov.csv"))
+    assert code == 2
+    error = json.loads(stderr)["error"]
+    assert error["type"] == "validation"
+    assert message in error["message"]

@@ -240,26 +240,44 @@ _QUANTILE_T = np.concatenate([np.linspace(0.0, 1.0, 101)[1:-1],
                               [1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12]])
 
 
-@pytest.mark.parametrize("sigma2", [1e4, 1e8, 1e12])
-def test_truncated_normal_quantile_at_wide_sigma(sigma2):
+def _mpmath_truncated_normal_quantile(sigma2, ts):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
     s2 = mpmath.mpf(sigma2)
     lo = mpmath.ncdf(-1 / mpmath.sqrt(s2))
-    expected = np.array([
+    return np.array([
         float(mpmath.sqrt(2 * s2) * mpmath.erfinv(2 * (lo + mpmath.mpf(t) * (1 - 2 * lo)) - 1))
-        for t in _QUANTILE_T])
+        for t in ts])
+
+
+@pytest.mark.parametrize("sigma2", [1e4, 1e8, 1e12])
+def test_truncated_normal_quantile_at_wide_sigma(sigma2):
+    expected = _mpmath_truncated_normal_quantile(sigma2, _QUANTILE_T)
     got = TruncatedNormal(sigma2)._quantile(_QUANTILE_T)
     assert np.max(np.abs(got - expected)) <= 1e-15
 
 
+@pytest.mark.parametrize("sigma2", [0.01, 0.1])
+def test_truncated_normal_quantile_at_narrow_sigma_near_both_edges(sigma2):
+    # lo + t z near 1 kept few digits before the quantile used its odd symmetry
+    t = np.array([1e-12, 1.0 - 1e-9, 1.0 - 1e-12])
+    expected = _mpmath_truncated_normal_quantile(sigma2, t)
+    got = TruncatedNormal(sigma2)._quantile(t)
+    assert np.max(np.abs(got - expected)) <= 2.3e-16
+
+
 @pytest.mark.parametrize("sigma2", [0.01, 0.25, 0.999999])
 def test_truncated_normal_quantile_below_unit_sigma_is_the_defining_formula(sigma2):
+    # the defining formula on t <= 1/2, bitwise; the odd symmetry above it
     from ivda.special import norm_cdf, norm_ppf
     sigma = math.sqrt(sigma2)
     lo = norm_cdf(-1.0 / sigma)
-    expected = np.clip(sigma * norm_ppf(lo + _QUANTILE_T * (1.0 - 2.0 * lo)), -1.0, 1.0)
-    assert np.array_equal(TruncatedNormal(sigma2)._quantile(_QUANTILE_T), expected)
+    lower = _QUANTILE_T <= 0.5
+    t_low, t_high = _QUANTILE_T[lower], _QUANTILE_T[~lower]
+    dist = TruncatedNormal(sigma2)
+    expected = np.clip(sigma * norm_ppf(lo + t_low * (1.0 - 2.0 * lo)), -1.0, 1.0)
+    assert np.array_equal(dist._quantile(t_low), expected)
+    assert np.array_equal(dist._quantile(t_high), -dist._quantile(1.0 - t_high))
 
 
 def test_degenerate_is_point_mass_at_zero():

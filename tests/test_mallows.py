@@ -18,6 +18,7 @@ from ivda import (
     dist_sq_musigma,
     dist_sq_symmetric,
     distance_matrix,
+    frechet_variance,
     iso_distance_set,
     mahalanobis_form,
     oracle_dist_sq,
@@ -304,6 +305,19 @@ def test_distance_matrix_is_bitwise_the_scalar_box_loop(rng):
             expected[i, j] = expected[j, i] = math.sqrt(dist_sq_box(boxes[i], boxes[j]))
     for threads in (1, 2, 4):
         assert np.array_equal(distance_matrix(frame, threads=threads), expected)
+
+
+def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):
+    # only the covariance reads E_UU; the distances need psi and delta alone
+    def refuse(d1, d2, method="auto"):
+        raise AssertionError(f"cross moment of {d1!r} and {d2!r} requested")
+
+    monkeypatch.setattr("ivda.mallows.cross_moment", refuse)
+    frame = make_mixed_frame(rng, 9)
+    assert distance_matrix(frame).shape == (9, 9)
+    assert sample_barycentre(frame).frechet_variance > 0.0
+    assert frechet_variance(frame) > 0.0
+    assert mahalanobis_form(frame.latents).p == frame.p
 
 
 @pytest.mark.parametrize("case, message", [

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ivda import (
     Degenerate,
     IntervalFrame,
+    InvertedTriangular,
+    Kde,
+    ShiftedBeta,
     Triangular,
+    TruncatedNormal,
     Uniform,
     correlation_from_cov,
     cov_model7,
@@ -19,7 +26,6 @@ from ivda import (
     symbolic_covariance,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda.moments import matrix_trace, schur_product
 
 from conftest import make_frame, make_mixed_frame
 
@@ -29,15 +35,6 @@ def two_row_uniform_frame():
 
 
 # --- hand linear algebra -----------------------------------------------------
-
-def test_schur_and_trace():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(schur_product(a, b), a * b)
-    assert matrix_trace(a) == 5.0
-    with pytest.raises(DomainError):
-        schur_product(a, np.ones((3, 3)))
-
 
 def test_jacobi_on_known_matrices():
     assert np.allclose(jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1.0, 2.0, 3.0])
@@ -199,7 +196,44 @@ def test_sigma_b_symmetric_and_trace_identity(rng):
         cov = symbolic_covariance(frame)
         assert np.max(np.abs(cov.sigma_b - cov.sigma_b.T)) < 1e-12
         assert np.all(np.diag(cov.sigma_b) >= -1e-12)
-        assert abs(matrix_trace(cov.sigma_b) - frechet_variance(frame)) < 1e-10
+        assert abs(math.fsum(np.diag(cov.sigma_b)) - frechet_variance(frame)) < 1e-10
+
+
+# a fixed pool keeps the cross-moment cache warm across examples
+_LATENT_POOL = (Uniform(), Triangular(0.4), Triangular(-0.7), InvertedTriangular(),
+                TruncatedNormal(0.2), ShiftedBeta(0.44, 2.15),
+                Kde(np.random.default_rng(5).uniform(-1.0, 1.0, size=60)), Degenerate())
+
+
+@st.composite
+def _pooled_frames(draw):
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        latents = (draw(st.sampled_from(_LATENT_POOL)),) * p
+    else:
+        latents = tuple(draw(st.lists(st.sampled_from(_LATENT_POOL), min_size=p, max_size=p)))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e8]))
+    spread = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    c = offset + spread * draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-1.0, 1.0)))
+    r = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(1e-3, 10.0)))
+    r[:, [isinstance(lat, Degenerate) for lat in latents]] = 0.0
+    return IntervalFrame(c - 0.5 * r, c + 0.5 * r, tuple(f"v{j}" for j in range(p)),
+                         latents=latents)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_pooled_frames())
+def test_closed_forms_agree_on_pooled_frames(frame):
+    cov = symbolic_covariance(frame)
+    psi = cov.summary.psi
+    explicit = (cov.sigma_cc + 0.25 * (cov.summary.euu * cov.sigma_rr)
+                + 0.5 * (cov.sigma_cr * psi) + 0.5 * (psi[:, None] * cov.sigma_cr.T))
+    assert np.array_equal(cov.sigma_b, explicit)
+    vf = frechet_variance(frame)
+    bound = 1e-12 * max(1.0, vf)
+    assert abs(math.fsum(np.diag(cov.sigma_b)) - vf) <= bound
+    assert abs(sample_barycentre(frame).frechet_variance - vf) <= bound
 
 
 def test_degenerate_column_contributes_centre_covariances_only():
