@@ -131,8 +131,13 @@ def _read_matrix_csv(path):
         if header is None:
             raise DataValidationError(f"{path}: empty file")
         names = header[1:]
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
-    return np.array(rows), names
+        rows = [row[1:] for row in reader if row]
+    if any(len(row) != len(names) for row in rows):
+        raise DataValidationError(f"{path}: a row does not have the header's {len(header)} cells")
+    try:
+        return np.array([[float(v) for v in row] for row in rows]), names
+    except ValueError:
+        raise DataValidationError(f"{path}: a matrix cell is not a number") from None
 
 
 def _emit(obj):
@@ -285,7 +290,11 @@ def _cmd_compare(args):
 
 def _cmd_ellipse(args):
     _require(args, "x0", "delta", "out")
-    lo, hi = (float(v) for v in args.x0.split(","))
+    try:
+        lo, hi = (float(v) for v in args.x0.split(","))
+    except ValueError:
+        raise DataValidationError(
+            f"--x0 must be two numbers 'lo,hi', got {args.x0!r}") from None
     points = iso_distance_set(Interval(lo, hi), args.delta, args.radius,
                               n_points=args.n_points)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:

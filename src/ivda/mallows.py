@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .latent import cross_moment
-from .quadrature import gauss_nodes, gauss_weights
+from .quadrature import fixed_grid, gauss_weights
 
 __all__ = [
     "dist_sq_general",
@@ -118,41 +118,34 @@ def dist_sq_box(b1, b2):
     return total
 
 
+_ORACLE_PANELS = 256
 _ORACLE_GRADING = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
-
-
-def _oracle_nodes(panels, cuts):
-    grid = np.linspace(0.0, 1.0, panels + 1)
-    edges = np.array(sorted(set(grid.tolist()) | set(cuts)))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = edges[:-1, None] + half[:, None] * (gauss_nodes() + 1.0)[None, :]
-    return edges, half, nodes
+_ORACLE_CUTS = frozenset(_ORACLE_GRADING) | {1.0 - g for g in _ORACLE_GRADING}
 
 
 @functools.lru_cache(maxsize=256)
-def _oracle_quantiles(dist, panels, cuts):
-    _, _, nodes = _oracle_nodes(panels, cuts)
-    return dist._quantile(nodes.ravel()).reshape(nodes.shape)
+def _oracle_quantiles(dist, cuts):
+    half, nodes = fixed_grid(_ORACLE_PANELS, cuts)
+    return half, dist._quantile(nodes.ravel()).reshape(nodes.shape)
 
 
-def oracle_dist_sq(x1, u1, x2, u2, panels=256):
+def _oracle_grid(u1, u2):
+    """Half-widths of the oracle grid's panels for two latents, and each
+    latent's (cached) quantiles at its nodes, one row of 32 per panel."""
+    cuts = tuple(sorted(_ORACLE_CUTS.union(u1.breakpoints(), u2.breakpoints())))
+    half, q1 = _oracle_quantiles(u1, cuts)
+    return half, q1, _oracle_quantiles(u2, cuts)[1]
+
+
+def oracle_dist_sq(x1, u1, x2, u2):
     """Direct quadrature of the defining integral of the squared distance.
 
-    Integrates (F1^{-1}(t) - F2^{-1}(t))^2 on ``panels`` equal panels, with
-    extra cuts at the latent quantile breakpoints and a graded mesh near the
-    endpoints where square-root behaviour is common. This is the independent
-    verification oracle for the closed forms above. Latent quantile values
-    on the node grid are cached per (distribution, grid).
+    Integrates (F1^{-1}(t) - F2^{-1}(t))^2 on the oracle grid: 256 equal
+    panels, extra cuts at the latent quantile breakpoints and a graded mesh
+    near both endpoints where square-root behaviour is common. This is the
+    independent verification oracle for the closed forms above.
     """
-    if panels < 1:
-        raise DomainError("panels must be a positive integer")
-    cuts = set(u1.breakpoints()) | set(u2.breakpoints())
-    cuts.update(_ORACLE_GRADING)
-    cuts.update(1.0 - g for g in _ORACLE_GRADING)
-    cuts = tuple(sorted(c for c in cuts if 0.0 < c < 1.0))
-    _, half, _ = _oracle_nodes(panels, cuts)
-    q1 = _oracle_quantiles(u1, panels, cuts)
-    q2 = _oracle_quantiles(u2, panels, cuts)
+    half, q1, q2 = _oracle_grid(u1, u2)
     c1, r1 = x1.centre, x1.range
     c2, r2 = x2.centre, x2.range
     diff = (c1 - c2) + 0.5 * (r1 * q1 - r2 * q2)

@@ -4,7 +4,8 @@ The barycentre of an interval dataset is the box of componentwise mean
 centres and mean ranges; the Frechet variance is its mean squared distance
 to the observations, equal to the trace of the symbolic covariance matrix.
 ``covariance_quantile_oracle`` integrates the defining quantile-function
-products directly and is the independent check on the closed forms.
+products directly on the fixed grid of ``mallows.oracle_dist_sq`` and is
+the independent check on the closed forms; it reads no latent moment.
 
 Every closed form reads the latent means and second moments through
 ``mallows._latent_moments``; only the covariance also needs the cross
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
 from .interval import Box, Interval
-from .mallows import MomentSummary, _dist_sq_columns, _latent_moments
-from .quadrature import integrate
+from .mallows import MomentSummary, _dist_sq_columns, _latent_moments, _oracle_grid
+from .quadrature import gauss_weights
 
 __all__ = [
     "Barycentre",
@@ -151,11 +152,9 @@ def symbolic_covariance(frame, ddof=0):
     frame.require_latents()
     summary = MomentSummary.from_latents(frame.latents)
     s_cc, s_rr, s_cr = _covariance_parts(frame, ddof=ddof)
-    psi = summary.psi
-    sigma = (s_cc
-             + 0.25 * (summary.euu * s_rr)
-             + 0.5 * (s_cr * psi)
-             + 0.5 * (psi[:, None] * s_cr.T))
+    # S_CR Psi plus its transpose as one term keeps Sigma_B exactly symmetric
+    mean_cross = s_cr * summary.psi
+    sigma = s_cc + 0.25 * (summary.euu * s_rr) + 0.5 * (mean_cross + mean_cross.T)
     return SymbolicCovariance(sigma_b=sigma, sigma_cc=s_cc, sigma_rr=s_rr,
                               sigma_cr=s_cr, summary=summary,
                               names=frame.names,
@@ -181,43 +180,29 @@ def correlation_from_cov(cov):
     return correlation_matrix(cov.sigma_b, cov.names)
 
 
-def covariance_quantile_oracle(frame, i, j, tol=1e-10):
+def covariance_quantile_oracle(frame, i, j):
     """Sample covariance of variables i and j straight from the definition.
 
     Averages, over rows, the integral of the product of the deviations of
-    the row quantile functions from the barycentre quantile functions. Row
-    contributions are combined with compensated summation so that results
-    do not depend on evaluation order. Latent quantile values are memoized
-    per node set, since every row shares the two latent distributions.
+    the row quantile functions from the barycentre quantile functions, each
+    on the fixed graded grid of ``oracle_dist_sq``, whose latent quantiles
+    every row shares. Row contributions are combined with compensated
+    summation so that results do not depend on evaluation order.
     """
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
     frame.require_latents()
     c, r = frame.centres_ranges()
-    cbar = c.mean(axis=0)
-    rbar = r.mean(axis=0)
-    ui, uj = frame.latents[i], frame.latents[j]
-    cuts = set(ui.breakpoints()) | set(uj.breakpoints())
-
-    memo = {}
-
-    def quantiles(t):
-        key = t.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            hit = (ui._quantile(t), uj._quantile(t))
-            memo[key] = hit
-        return hit
-
-    def row_integral(h):
-        def integrand(t):
-            qi, qj = quantiles(t)
-            di = (c[h, i] - cbar[i]) + 0.5 * (r[h, i] - rbar[i]) * qi
-            dj = (c[h, j] - cbar[j]) + 0.5 * (r[h, j] - rbar[j]) * qj
-            return di * dj
-        return integrate(integrand, breakpoints=cuts, tol=tol)
-
-    return math.fsum(row_integral(h) for h in range(frame.n)) / frame.n
+    dc = c - c.mean(axis=0)
+    dr = 0.5 * (r - r.mean(axis=0))
+    half, qi, qj = _oracle_grid(frame.latents[i], frame.latents[j])
+    weights = gauss_weights()
+    rows = []
+    for h in range(frame.n):
+        di = dc[h, i] + dr[h, i] * qi
+        dj = dc[h, j] + dr[h, j] * qj
+        rows.append(float(np.sum(half * ((di * dj) @ weights))))
+    return math.fsum(rows) / frame.n
 
 
 def cov_model7(frame, ddof=0):

@@ -2,7 +2,8 @@
 
 Quantile functions are smooth between a handful of breakpoints, so panels
 are cut at the supplied breakpoints and then bisected adaptively until two
-refinement levels agree. Integrands must be vectorized over numpy arrays.
+refinement levels agree, or laid out once by ``fixed_grid``. Integrands
+must be vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["integrate", "integrate_fixed", "gauss_nodes", "gauss_weights"]
+__all__ = ["integrate", "integrate_fixed", "fixed_grid", "gauss_weights"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 _MAX_DEPTH = 24
-
-
-def gauss_nodes():
-    """The 32 Gauss-Legendre nodes on [-1, 1] used by every panel."""
-    return _NODES
 
 
 def gauss_weights():
@@ -33,17 +29,21 @@ def _panel(f, a, b):
     return half * float(np.sum(_WEIGHTS * f(x)))
 
 
-def _panels_batch(f, lows, highs):
+def _panel_nodes(edges):
+    # half-widths of the panels between consecutive edges, and their nodes
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return half, edges[:-1, None] + half[:, None] * (_NODES + 1.0)[None, :]
+
+
+def _panel_sums(f, half, nodes):
     # one vectorized integrand call across all panels
-    half = 0.5 * (highs - lows)
-    nodes = lows[:, None] + half[:, None] * (_NODES + 1.0)[None, :]
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     return half * (values @ _WEIGHTS)
 
 
 def _refine(f, a, b, coarse, tol, depth):
     mid = 0.5 * (a + b)
-    left, right = _panels_batch(f, np.array([a, mid]), np.array([mid, b]))
+    left, right = _panel_sums(f, *_panel_nodes(np.array([a, mid, b])))
     fine = left + right
     if abs(fine - coarse) <= tol or depth >= _MAX_DEPTH:
         return fine
@@ -68,11 +68,17 @@ def integrate(f, a=0.0, b=1.0, breakpoints=(), tol=1e-9):
     return total
 
 
-def integrate_fixed(f, a=0.0, b=1.0, panels=256, breakpoints=()):
-    """Non-adaptive composite rule on ``panels`` equal panels plus cuts."""
+def fixed_grid(panels, breakpoints=(), a=0.0, b=1.0):
+    """Panel half-widths and nodes (one row of 32 per panel) of ``panels``
+    equal panels on [a, b], cut again at every breakpoint inside it."""
     if panels < 1:
         raise DomainError("panels must be a positive integer")
     grid = np.linspace(a, b, panels + 1)
     edges = np.array(sorted(set(grid.tolist())
                             | {float(p) for p in breakpoints if a < p < b}))
-    return float(np.sum(_panels_batch(f, edges[:-1], edges[1:])))
+    return _panel_nodes(edges)
+
+
+def integrate_fixed(f, a=0.0, b=1.0, panels=256, breakpoints=()):
+    """Non-adaptive composite rule on ``panels`` equal panels plus cuts."""
+    return float(np.sum(_panel_sums(f, *fixed_grid(panels, breakpoints, a, b))))

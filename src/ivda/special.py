@@ -133,6 +133,8 @@ def log_beta(a, b):
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAXIT = 300
+_INV_TOL = 1e-14     # betainc_inv: relative Newton step tolerance
+_INV_MAXIT = 60      # betainc_inv: Newton iteration cap
 
 
 def _betacf(a, b, x):
@@ -242,7 +244,7 @@ def _betainc_inv_init(a, b, t):
     return np.where(t < u / s, low, high)
 
 
-def betainc_inv(a, b, t, tol=1e-14, max_iter=60):
+def betainc_inv(a, b, t):
     """Inverse of the regularized incomplete beta, by safeguarded Newton.
 
     Solves I_x(a, b) = t for x in [0, 1]; bisection brackets guarantee
@@ -268,7 +270,7 @@ def betainc_inv(a, b, t, tol=1e-14, max_iter=60):
         x = np.clip(_betainc_inv_init(a, b, ti), 1e-300, 1.0 - 1e-16)
         lb = log_beta(a, b)
         active = np.arange(ti.size)
-        for _ in range(max_iter):
+        for _ in range(_INV_MAXIT):
             xa = x[active]
             f = betainc(a, b, xa) - ti[active]
             below = f < 0.0
@@ -280,13 +282,13 @@ def betainc_inv(a, b, t, tol=1e-14, max_iter=60):
             # a lane whose residual or step has hit the floating-point floor
             # is done at xa; it must not fall into the bisection fallback
             done = (np.abs(f) <= 1e-15) \
-                | (np.abs(xn - xa) <= tol * np.maximum(np.abs(xa), 1e-10))
+                | (np.abs(xn - xa) <= _INV_TOL * np.maximum(np.abs(xa), 1e-10))
             bad = ~done & (~np.isfinite(xn) | (xn <= lo[active]) | (xn >= hi[active]))
             xn = np.where(bad, 0.5 * (lo[active] + hi[active]), xn)
             xn = np.where(done, xa, xn)
             delta = np.abs(xn - xa)
             x[active] = xn
-            still = ~done & (delta > tol * np.maximum(np.abs(xn), 1e-10))
+            still = ~done & (delta > _INV_TOL * np.maximum(np.abs(xn), 1e-10))
             if not np.any(still):
                 break
             active = active[still]

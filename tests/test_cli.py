@@ -226,3 +226,21 @@ def test_malformed_latent_spec_exits_2(tmp_path, capsys, intervals_csv, latents,
     error = json.loads(stderr)["error"]
     assert error["type"] == "validation"
     assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv, matrix", [
+    (["ellipse", "--x0", "1"], None),
+    (["ellipse", "--x0=a,b"], None),
+    (["compare"], ",a,b\nx,1,2\ny,3,oops\n"),
+    (["compare"], ",a,b\nx,1,2\ny,3\n"),
+], ids=["x0-one-value", "x0-not-numeric", "matrix-cell-not-numeric", "matrix-row-ragged"])
+def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix):
+    if matrix is None:
+        argv = argv + ["--delta", "0.1", "--out", str(tmp_path / "ellipse.csv")]
+    else:
+        path = tmp_path / "matrix.csv"
+        path.write_text(matrix, encoding="utf-8")
+        argv = argv + ["--a", str(path), "--b", str(path)]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(stderr)["error"]["type"] == "validation"

@@ -235,12 +235,6 @@ def test_oracle_identical_inputs_is_zero():
     assert oracle_dist_sq(x, Uniform(), x, Uniform()) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_oracle_panel_validation():
-    x = Interval(0.0, 1.0)
-    with pytest.raises(DomainError):
-        oracle_dist_sq(x, Uniform(), x, Uniform(), panels=0)
-
-
 # --- iso-distance sets -------------------------------------------------------
 
 def test_iso_distance_contains_known_points():

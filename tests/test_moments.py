@@ -22,6 +22,7 @@ from ivda import (
     frechet_variance,
     frobenius_diff,
     jacobi_eigenvalues,
+    oracle_dist_sq,
     sample_barycentre,
     symbolic_covariance,
 )
@@ -194,7 +195,7 @@ def test_sigma_b_symmetric_and_trace_identity(rng):
     for _ in range(20):
         frame = make_frame(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)))
         cov = symbolic_covariance(frame)
-        assert np.max(np.abs(cov.sigma_b - cov.sigma_b.T)) < 1e-12
+        assert np.array_equal(cov.sigma_b, cov.sigma_b.T)
         assert np.all(np.diag(cov.sigma_b) >= -1e-12)
         assert abs(math.fsum(np.diag(cov.sigma_b)) - frechet_variance(frame)) < 1e-10
 
@@ -226,10 +227,11 @@ def _pooled_frames(draw):
 @given(_pooled_frames())
 def test_closed_forms_agree_on_pooled_frames(frame):
     cov = symbolic_covariance(frame)
-    psi = cov.summary.psi
+    mean_cross = cov.sigma_cr * cov.summary.psi
     explicit = (cov.sigma_cc + 0.25 * (cov.summary.euu * cov.sigma_rr)
-                + 0.5 * (cov.sigma_cr * psi) + 0.5 * (psi[:, None] * cov.sigma_cr.T))
+                + 0.5 * (mean_cross + mean_cross.T))
     assert np.array_equal(cov.sigma_b, explicit)
+    assert np.array_equal(cov.sigma_b, cov.sigma_b.T)
     vf = frechet_variance(frame)
     bound = 1e-12 * max(1.0, vf)
     assert abs(math.fsum(np.diag(cov.sigma_b)) - vf) <= bound
@@ -275,13 +277,36 @@ def test_oracle_two_row_variance():
 
 
 def test_oracle_matches_closed_form(rng):
-    for _ in range(25):
-        frame = make_frame(rng, int(rng.integers(2, 8)), int(rng.integers(1, 4)))
+    frames = [make_frame(rng, int(rng.integers(2, 8)), int(rng.integers(1, 4)))
+              for _ in range(25)]
+    for frame in frames + [make_mixed_frame(rng, 200)]:
         cov = symbolic_covariance(frame)
         for i in range(frame.p):
             for j in range(i, frame.p):
                 oracle = covariance_quantile_oracle(frame, i, j)
                 assert abs(oracle - cov.sigma_b[i, j]) < 1e-8
+
+
+def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
+    frame = make_mixed_frame(rng, 12)
+    sigma = symbolic_covariance(frame).sigma_b
+    rows = frame.row_box(0), frame.row_box(1)
+    dist_sq = dist_sq_box(*rows)
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("an oracle reached the closed-form path")
+
+    for target in ("ivda.latent.cross_moment", "ivda.mallows.cross_moment",
+                   "ivda.mallows._latent_moments", "ivda.moments._latent_moments",
+                   "ivda.mallows._dist_sq_columns", "ivda.moments._dist_sq_columns",
+                   "ivda.mallows.MomentSummary.from_latents"):
+        monkeypatch.setattr(target, closed_form)
+    for i in range(frame.p):
+        for j in range(i, frame.p):
+            assert abs(covariance_quantile_oracle(frame, i, j) - sigma[i, j]) < 1e-8
+    oracle = math.fsum(oracle_dist_sq(x1, u, x2, u) for x1, x2, u in
+                       zip(rows[0].intervals, rows[1].intervals, frame.latents))
+    assert abs(oracle - dist_sq) < 1e-7
 
 
 # --- correlation -----------------------------------------------------------------
