@@ -7,13 +7,16 @@ of the latent weights; ``oracle_dist_sq`` integrates the defining quantile
 integral directly and serves as the independent check on every closed form.
 
 The published forms are scalar functions of one pair. ``distance_matrix``
-and the barycentre's Frechet variance instead run one column engine on whole
-(centres, ranges) arrays: each column shares one latent, so it adds
-dc^2 + E[U] dc dr + E[U^2]/4 dr^2 to every squared distance, evaluated in
-``dist_sq_iid``'s operation order and summed in ``dist_sq_box``'s column
-order, which makes every entry bitwise equal to the scalar form's. The
-matrix is filled in fixed row blocks that threads may share out; the block
-size does not depend on the thread count, so neither do the results.
+and the barycentre's Frechet variance instead run one column engine on
+column-major (centres, ranges) arrays: each column shares one latent, so it
+adds dc^2 + E[U] dc dr + E[U^2]/4 dr^2 to every squared distance, evaluated
+in place in ``dist_sq_iid``'s operation order and summed in
+``dist_sq_box``'s column order, which makes every entry bitwise equal to
+the scalar form's. The matrix is symmetric bit for bit, so only its upper
+triangle is computed, in fixed row blocks that threads may share out, and
+mirrored; the block size does not depend on the thread count, so neither do
+the results. A squared distance that overflows raises ``NumericFailure``
+rather than being clamped to zero or returned as infinity.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericFailure
 from .latent import cross_moment
 from .quadrature import fixed_grid, gauss_weights
 
@@ -49,6 +52,8 @@ __all__ = [
 
 def _clamp(value):
     # rounding can leave a -1e-12-scale residue; keep downstream sqrt safe
+    if not math.isfinite(value):
+        raise NumericFailure("squared distance is not finite: the data overflow")
     return value if value > 0.0 else 0.0
 
 
@@ -115,7 +120,7 @@ def dist_sq_box(b1, b2):
             total += dist_sq_iid(b1.intervals[i], b2.intervals[i], u1)
         else:
             total += dist_sq_general(b1.intervals[i], u1, b2.intervals[i], u2)
-    return total
+    return _clamp(total)
 
 
 _ORACLE_PANELS = 256
@@ -290,43 +295,69 @@ def iso_distance_set(x0, delta, radius, n_points=256):
 
 
 # rows per distance-matrix block: a fixed size bounds the temporaries at
-# _ROW_BLOCK x n per column and keeps results independent of the threads
+# a few _ROW_BLOCK x n buffers and keeps results independent of the threads
 _ROW_BLOCK = 64
 
 
 def _dist_sq_columns(c1, r1, c2, r2, psi, delta):
-    """Shared-latent squared distances summed over the last (column) axis.
+    """Shared-latent squared distances summed over the leading (column) axis.
 
-    ``(c1, r1)`` and ``(c2, r2)`` are centres and ranges that broadcast
-    against each other; ``psi`` and ``delta`` come from ``_latent_moments``.
-    Each column is ``dist_sq_iid`` clamped at zero (delta is exactly
-    0.25 * second moment), added left to right as in ``dist_sq_box``, so
-    entries match them bitwise.
+    ``(c1, r1)`` and ``(c2, r2)`` are column-major centres and ranges: index
+    j of the leading axis is column j, and the other axes broadcast against
+    each other; ``psi`` and ``delta`` come from ``_latent_moments``. Five
+    buffers of the broadcast shape are allocated once, and each column runs
+    ``dist_sq_iid``'s operations in place and in its order,
+    ``(dc*dc + (delta*dr)*dr) + (psi*dc)*dr`` (delta is exactly 0.25 * second
+    moment), is clamped at zero and is added left to right as in
+    ``dist_sq_box``, so entries match them bitwise. A squared distance that
+    is not finite raises ``NumericFailure``.
     """
-    total = 0.0
-    for j in range(psi.size):
-        dc = c1[..., j] - c2[..., j]
-        dr = r1[..., j] - r2[..., j]
-        value = dc * dc + delta[j] * dr * dr + psi[j] * dc * dr
-        total = total + np.where(value > 0.0, value, 0.0)
+    shape = np.broadcast_shapes(c1.shape[1:], c2.shape[1:])
+    dc, dr, scratch, value = (np.empty(shape) for _ in range(4))
+    total = np.zeros(shape)
+    # an overflow is reported once, as a NumericFailure, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(psi.size):
+            np.subtract(c1[j], c2[j], out=dc)
+            np.subtract(r1[j], r2[j], out=dr)
+            np.multiply(dc, dc, out=value)
+            np.multiply(dr, delta[j], out=scratch)
+            scratch *= dr
+            value += scratch
+            np.multiply(dc, psi[j], out=scratch)
+            scratch *= dr
+            value += scratch
+            # value is never -0.0 (dc*dc is not), so this is dist_sq_iid's clamp
+            np.maximum(value, 0.0, out=value)
+            total += value
+    if not np.isfinite(total).all():
+        raise NumericFailure("squared distance is not finite: the data overflow")
     return total
 
 
 def distance_matrix(frame, threads=1):
     """n x n matrix of (non-squared) pairwise Mallows distances.
 
-    Rows are computed in fixed blocks of ``_ROW_BLOCK`` against all rows;
-    ``threads > 1`` shares the blocks out, and since the blocks never change
-    the matrix is bitwise the same for every thread count.
+    Only the upper triangle is computed: the row block ``[s, s + _ROW_BLOCK)``
+    runs against rows ``s ... n-1``, its square roots go into those rows and
+    their transpose into the mirrored columns. Negating dc and dr leaves
+    every term bitwise unchanged, so each mirrored entry is the one the
+    scalar ``dist_sq_box`` loop gives. ``threads > 1`` shares the fixed
+    blocks out; each block writes its own cells, so the matrix is bitwise
+    the same for every thread count.
     """
     c, r = frame.checked_centres_ranges()
     psi, delta = _latent_moments(frame.latents)
+    ct, rt = np.ascontiguousarray(c.T), np.ascontiguousarray(r.T)
     n = frame.n
     out = np.empty((n, n))
 
     def fill_block(start):
         rows = slice(start, start + _ROW_BLOCK)
-        out[rows] = np.sqrt(_dist_sq_columns(c[rows, None], r[rows, None], c, r, psi, delta))
+        sq = _dist_sq_columns(ct[:, rows, None], rt[:, rows, None],
+                              ct[:, None, start:], rt[:, None, start:], psi, delta)
+        np.sqrt(sq, out=out[rows, start:])
+        out[start:, rows] = out[rows, start:].T
 
     starts = range(0, n, _ROW_BLOCK)
     if threads > 1 and len(starts) > 1:
@@ -335,5 +366,4 @@ def distance_matrix(frame, threads=1):
     else:
         for start in starts:
             fill_block(start)
-    np.fill_diagonal(out, 0.0)
     return out

@@ -122,7 +122,8 @@ def sample_barycentre(frame):
     box = Box(tuple(Interval.from_centre_range(cb, rb) for cb, rb in zip(cbar, rbar)),
               frame.latents)
     # each row's dist_sq_box to the box, bitwise, from the column engine
-    sq = _dist_sq_columns(c, r, box.centres, box.ranges, *_latent_moments(frame.latents))
+    sq = _dist_sq_columns(c.T, r.T, box.centres[:, None], box.ranges[:, None],
+                          *_latent_moments(frame.latents))
     vf = math.fsum(sq.tolist()) / frame.n
     return Barycentre(box=box, centres=cbar, ranges=rbar, frechet_variance=vf)
 

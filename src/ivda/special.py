@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericFailure
 
 __all__ = [
     "norm_cdf",
@@ -135,6 +135,7 @@ _CF_EPS = 1e-15
 _CF_MAXIT = 300
 _INV_TOL = 1e-14     # betainc_inv: relative Newton step tolerance
 _INV_MAXIT = 60      # betainc_inv: Newton iteration cap
+_INV_FLOOR = 1e-300  # betainc_inv: a root below this is not resolved further
 
 
 def _betacf(a, b, x):
@@ -142,7 +143,8 @@ def _betacf(a, b, x):
 
     Lanes drop out of the working set as soon as their term ratio settles,
     so slow-to-converge lanes near the symmetry threshold do not make the
-    whole vector iterate.
+    whole vector iterate. Lanes still unsettled after ``_CF_MAXIT`` terms
+    raise NumericFailure.
     """
     qab = a + b
     qap = a + 1.0
@@ -183,8 +185,32 @@ def _betacf(a, b, x):
             c = c[keep]
             d = d[keep]
             h = h[keep]
+    else:
+        raise NumericFailure(f"incomplete beta continued fraction ({a}, {b}): "
+                             f"{active.size} lanes did not converge in {_CF_MAXIT} terms")
     out[active] = h
     return out
+
+
+def _betainc_tails(a, b, x):
+    """(I_x(a, b), 1 - I_x(a, b)) for x in [0, 1].
+
+    The continued fraction gives I_x directly below (a + 1) / (a + b + 2)
+    and its complement above, so each is free of cancellation in its own
+    tail; the other of the two is one minus it.
+    """
+    lb = log_beta(a, b)
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log(x) + b * np.log1p(-x) - lb)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    tail = np.empty_like(x)
+    if np.any(direct):
+        tail[direct] = front[direct] * _betacf(a, b, x[direct]) / a
+    swap = ~direct
+    if np.any(swap):
+        tail[swap] = front[swap] * _betacf(b, a, 1.0 - x[swap]) / b
+    tail = np.clip(tail, 0.0, 1.0)
+    return np.where(direct, tail, 1.0 - tail), np.where(direct, 1.0 - tail, tail)
 
 
 def betainc(a, b, x):
@@ -195,33 +221,18 @@ def betainc(a, b, x):
     flat = np.atleast_1d(arr).astype(float)
     if flat.size and (np.any(flat < 0.0) or np.any(flat > 1.0)):
         raise DomainError("betainc argument must lie in [0, 1]")
-    out = np.empty_like(flat)
-    zero = flat == 0.0
-    one = flat == 1.0
-    inner = ~(zero | one)
-    out[zero] = 0.0
-    out[one] = 1.0
-    if np.any(inner):
-        xi = flat[inner]
-        lb = log_beta(a, b)
-        front = np.exp(a * np.log(xi) + b * np.log1p(-xi) - lb)
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        res = np.empty_like(xi)
-        if np.any(direct):
-            xd = xi[direct]
-            res[direct] = front[direct] * _betacf(a, b, xd) / a
-        swap = ~direct
-        if np.any(swap):
-            xs = xi[swap]
-            res[swap] = 1.0 - front[swap] * _betacf(b, a, 1.0 - xs) / b
-        out[inner] = res
-    out = np.clip(out, 0.0, 1.0).reshape(arr.shape)
+    out = _betainc_tails(a, b, flat)[0].reshape(arr.shape)
     return _maybe_scalar(out, x)
 
 
 def _betainc_inv_init(a, b, t):
     """Starting point for the inverse: the classic normal approximation for
-    a, b >= 1, a power-law tail expansion otherwise."""
+    a, b >= 1, a power-law tail expansion otherwise, and the exact lower-tail
+    power law where it is accurate."""
+    # I_x(a, b) = x^a / (a B(a, b)) up to a factor between 1 and
+    # (1 - x)^(b - 1); where |b - 1| x is small its root is nearly exact
+    with np.errstate(divide="ignore"):
+        tail = np.exp((np.log(a * t) + log_beta(a, b)) / a)
     if a >= 1.0 and b >= 1.0:
         pp = np.minimum(t, 1.0 - t)
         u = np.sqrt(-2.0 * np.log(pp))
@@ -232,24 +243,32 @@ def _betainc_inv_init(a, b, t):
         w = (x * np.sqrt(al + h) / h
              - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
              * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
-        return a / (a + b * np.exp(2.0 * w))
-    lna = math.log(a / (a + b))
-    lnb = math.log(b / (a + b))
-    u = math.exp(a * lna) / a
-    w = math.exp(b * lnb) / b
-    s = u + w
-    with np.errstate(over="ignore"):
-        low = np.power(np.maximum(a * s * t, 0.0), 1.0 / a)
-        high = 1.0 - np.power(np.maximum(b * s * (1.0 - t), 0.0), 1.0 / b)
-    return np.where(t < u / s, low, high)
+        with np.errstate(over="ignore"):
+            x = a / (a + b * np.exp(2.0 * w))
+        # for b >= 1 the power law's root is a lower bound on x
+        start = np.maximum(x, tail)
+    else:
+        lna = math.log(a / (a + b))
+        lnb = math.log(b / (a + b))
+        u = math.exp(a * lna) / a
+        w = math.exp(b * lnb) / b
+        s = u + w
+        with np.errstate(over="ignore"):
+            low = np.power(np.maximum(a * s * t, 0.0), 1.0 / a)
+            high = 1.0 - np.power(np.maximum(b * s * (1.0 - t), 0.0), 1.0 / b)
+        start = np.where(t < u / s, low, high)
+    return np.where(abs(b - 1.0) * tail < 0.1, tail, start)
 
 
 def betainc_inv(a, b, t):
     """Inverse of the regularized incomplete beta, by safeguarded Newton.
 
     Solves I_x(a, b) = t for x in [0, 1]; bisection brackets guarantee
-    convergence, Newton steps from a tail-aware starting point give the
-    final 1e-12-level accuracy in a handful of iterations.
+    progress, Newton steps from a tail-aware starting point give the final
+    1e-12-level accuracy in a handful of iterations. For t > 1/2 the
+    residual is 1 - I_x against 1 - t, so it does not cancel in the upper
+    tail, and the residual stop is relative to min(t, 1 - t). A lane still
+    moving after ``_INV_MAXIT`` steps raises NumericFailure.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError("betainc_inv requires positive shape parameters")
@@ -265,33 +284,41 @@ def betainc_inv(a, b, t):
     out[one] = 1.0
     if np.any(inner):
         ti = flat[inner]
+        upper = ti > 0.5
+        tail = np.where(upper, 1.0 - ti, ti)    # min(t, 1 - t), exactly
         lo = np.zeros_like(ti)
         hi = np.ones_like(ti)
-        x = np.clip(_betainc_inv_init(a, b, ti), 1e-300, 1.0 - 1e-16)
+        x = np.clip(_betainc_inv_init(a, b, ti), _INV_FLOOR, 1.0 - 1e-16)
         lb = log_beta(a, b)
         active = np.arange(ti.size)
         for _ in range(_INV_MAXIT):
             xa = x[active]
-            f = betainc(a, b, xa) - ti[active]
+            ta = tail[active]
+            p, q = _betainc_tails(a, b, xa)
+            f = np.where(upper[active], ta - q, p - ta)     # I_x - t
             below = f < 0.0
             lo[active] = np.where(below, xa, lo[active])
             hi[active] = np.where(below, hi[active], xa)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 logpdf = (a - 1.0) * np.log(xa) + (b - 1.0) * np.log1p(-xa) - lb
                 xn = xa - f * np.exp(-logpdf)
-            # a lane whose residual or step has hit the floating-point floor
-            # is done at xa; it must not fall into the bisection fallback
-            done = (np.abs(f) <= 1e-15) \
-                | (np.abs(xn - xa) <= _INV_TOL * np.maximum(np.abs(xa), 1e-10))
+            # a lane whose residual or step has hit the floating-point floor,
+            # or whose root lies below _INV_FLOOR, is done at xa; it must not
+            # fall into the bisection fallback
+            done = (np.abs(f) <= 1e-15 * ta) | (np.abs(xn - xa) <= _INV_TOL * xa) \
+                | ((xa <= _INV_FLOOR) & (f > 0.0))
             bad = ~done & (~np.isfinite(xn) | (xn <= lo[active]) | (xn >= hi[active]))
             xn = np.where(bad, 0.5 * (lo[active] + hi[active]), xn)
             xn = np.where(done, xa, xn)
             delta = np.abs(xn - xa)
             x[active] = xn
-            still = ~done & (delta > _INV_TOL * np.maximum(np.abs(xn), 1e-10))
+            still = ~done & (delta > _INV_TOL * xn)
             if not np.any(still):
                 break
             active = active[still]
+        else:
+            raise NumericFailure(f"betainc_inv({a}, {b}): {active.size} lanes did not "
+                                 f"converge in {_INV_MAXIT} Newton steps")
         out[inner] = x
     out = out.reshape(arr.shape)
     return _maybe_scalar(out, t)

@@ -188,6 +188,19 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert json.loads(stderr)["error"]["type"] == "numeric"
 
 
+def test_overflowing_distance_exits_3(tmp_path, capsys):
+    intervals = tmp_path / "huge.csv"
+    intervals.write_text("label,x.lo,x.hi\na,-1e200,1e200\nb,-1e154,-9.9999999999999e153\n",
+                         encoding="utf-8")
+    for latents in ("triangular:-0.9", "uniform"):
+        code, _, stderr = run_cli(capsys, "distance", "--intervals", str(intervals),
+                                  "--latents", latents, "--out", str(tmp_path / "d.csv"))
+        assert code == 3
+        error = json.loads(stderr)["error"]
+        assert error["type"] == "numeric" and "not finite" in error["message"]
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_config_file_defaults_with_flag_override(tmp_path, capsys, intervals_csv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ivda import (
     reduced_vector,
     sample_barycentre,
 )
-from ivda.errors import DomainError
+from ivda.errors import DomainError, NumericFailure
 from ivda.mallows import _ROW_BLOCK, MomentSummary
 from ivda.moments import jacobi_eigenvalues
 
@@ -278,7 +279,7 @@ def test_distance_matrix_properties(rng):
                           latents=(Uniform(), Triangular(0.2), Uniform()))
     d1 = distance_matrix(frame)
     assert d1.shape == (n, n)
-    assert np.allclose(d1, d1.T)
+    assert np.array_equal(d1, d1.T)
     assert np.all(np.diag(d1) == 0.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # frequent switches while blocks fill `out`
@@ -291,14 +292,45 @@ def test_distance_matrix_properties(rng):
 
 
 def test_distance_matrix_is_bitwise_the_scalar_box_loop(rng):
-    frame = make_mixed_frame(rng, _ROW_BLOCK + 7)
-    boxes = [frame.row_box(i) for i in range(frame.n)]
-    expected = np.zeros((frame.n, frame.n))
-    for i in range(frame.n):
-        for j in range(i + 1, frame.n):
-            expected[i, j] = expected[j, i] = math.sqrt(dist_sq_box(boxes[i], boxes[j]))
-    for threads in (1, 2, 4):
-        assert np.array_equal(distance_matrix(frame, threads=threads), expected)
+    # one, two and three row blocks, full and ragged, on the triangle fill
+    for n in (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 5):
+        frame = make_mixed_frame(rng, n)
+        boxes = [frame.row_box(i) for i in range(n)]
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected[i, j] = expected[j, i] = math.sqrt(dist_sq_box(boxes[i], boxes[j]))
+        for threads in (1, 2, 4):
+            assert np.array_equal(distance_matrix(frame, threads=threads), expected)
+
+
+def test_distance_matrix_temporaries_stay_within_a_few_row_blocks(rng):
+    # the output plus at most eight _ROW_BLOCK x n buffers
+    n = 1000
+    lower, upper = make_interval_arrays(rng, n, 4)
+    frame = IntervalFrame(lower, upper, ("a", "b", "c", "d"),
+                          latents=(Uniform(), Triangular(0.2), Uniform(), Triangular(-0.5)))
+    tracemalloc.start()
+    try:
+        distance_matrix(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n + 8 * 8 * _ROW_BLOCK * n
+
+
+@pytest.mark.parametrize("latent", [Triangular(-0.9), Uniform()])
+def test_overflowing_distance_raises(latent):
+    # dr * dr overflows: an inf, or inf - inf = nan, must not become 0 or inf
+    frame = IntervalFrame(np.array([[-1e200], [-1e154]]),
+                          np.array([[1e200], [-1e154 + 1e140]]), ("x",), latents=(latent,))
+    with pytest.raises(NumericFailure, match="not finite"):
+        distance_matrix(frame)
+    with pytest.raises(NumericFailure, match="not finite"):
+        sample_barycentre(frame)
+    with pytest.raises(NumericFailure, match="not finite"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        dist_sq_box(frame.row_box(0), frame.row_box(1))
 
 
 def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):

@@ -28,7 +28,7 @@ from ivda import (
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 
-from conftest import make_frame, make_mixed_frame
+from conftest import ALL_FAMILIES, make_frame, make_mixed_frame
 
 
 def two_row_uniform_frame():
@@ -193,7 +193,8 @@ def test_shortcut_equals_general_formula(rng):
 
 def test_sigma_b_symmetric_and_trace_identity(rng):
     for _ in range(20):
-        frame = make_frame(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)))
+        frame = make_frame(rng, int(rng.integers(3, 10)), int(rng.integers(1, 5)),
+                           families=ALL_FAMILIES)
         cov = symbolic_covariance(frame)
         assert np.array_equal(cov.sigma_b, cov.sigma_b.T)
         assert np.all(np.diag(cov.sigma_b) >= -1e-12)

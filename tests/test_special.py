@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ivda.errors import DomainError
+from ivda import special
+from ivda.errors import DomainError, NumericFailure
 from ivda.special import betainc, betainc_inv, norm_cdf, norm_ppf
 
 
@@ -73,6 +74,25 @@ def test_betainc_inv_arcsine_closed_form():
     t = np.linspace(0.01, 0.99, 99)
     expected = np.sin(0.5 * math.pi * t) ** 2
     assert np.max(np.abs(betainc_inv(0.5, 0.5, t) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("a, b, t", [(2.0, 5.0, 1e-12), (30.0, 30.0, 1e-12),
+                                     (30.0, 30.0, 1.0 - 1e-12), (0.02, 50.0, 1.0 - 1e-12),
+                                     (50.0, 0.02, 1e-12)])
+def test_betainc_inv_tails_match_scipy(a, b, t):
+    scipy_special = pytest.importorskip("scipy.special")
+    expected = scipy_special.betaincinv(a, b, t)
+    assert abs(betainc_inv(a, b, t) - expected) <= 1e-12 * expected
+
+
+def test_betainc_iteration_caps_raise(monkeypatch):
+    t = np.linspace(0.05, 0.95, 19)
+    monkeypatch.setattr(special, "_INV_MAXIT", 1)
+    with pytest.raises(NumericFailure, match="did not converge in 1 Newton steps"):
+        betainc_inv(2.0, 3.0, t)
+    monkeypatch.setattr(special, "_CF_MAXIT", 2)
+    with pytest.raises(NumericFailure, match="did not converge in 2 terms"):
+        betainc(2.0, 3.0, t)
 
 
 def test_betainc_inv_edges():
