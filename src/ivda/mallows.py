@@ -21,7 +21,6 @@ rather than being clamped to zero or returned as infinity.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericFailure
-from .latent import cross_moment
-from .quadrature import fixed_grid, gauss_weights
+from .latent import _quantile_table, cross_moment
+from .quadrature import gauss_weights
 
 __all__ = [
     "dist_sq_general",
@@ -128,18 +127,12 @@ _ORACLE_GRADING = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
 _ORACLE_CUTS = frozenset(_ORACLE_GRADING) | {1.0 - g for g in _ORACLE_GRADING}
 
 
-@functools.lru_cache(maxsize=256)
-def _oracle_quantiles(dist, cuts):
-    half, nodes = fixed_grid(_ORACLE_PANELS, cuts)
-    return half, dist._quantile(nodes.ravel()).reshape(nodes.shape)
-
-
 def _oracle_grid(u1, u2):
     """Half-widths of the oracle grid's panels for two latents, and each
     latent's (cached) quantiles at its nodes, one row of 32 per panel."""
     cuts = tuple(sorted(_ORACLE_CUTS.union(u1.breakpoints(), u2.breakpoints())))
-    half, q1 = _oracle_quantiles(u1, cuts)
-    return half, q1, _oracle_quantiles(u2, cuts)[1]
+    half, q1 = _quantile_table(u1, _ORACLE_PANELS, cuts)
+    return half, q1, _quantile_table(u2, _ORACLE_PANELS, cuts)[1]
 
 
 def oracle_dist_sq(x1, u1, x2, u2):

@@ -1,9 +1,12 @@
 """Composite Gauss-Legendre integration for piecewise-smooth integrands.
 
 Quantile functions are smooth between a handful of breakpoints, so panels
-are cut at the supplied breakpoints and then bisected adaptively until two
-refinement levels agree, or laid out once by ``fixed_grid``. Integrands
-must be vectorized over numpy arrays.
+are laid out once by ``fixed_grid``: equal panels, cut again at the
+supplied breakpoints. The library's cross moments and both oracles use
+that grid. ``integrate`` instead bisects panels adaptively until two
+refinement levels agree; no library code calls it, and it is kept as the
+independent adaptive reference for the tests and the benchmark's
+quadrature probe. Integrands must be vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -60,7 +63,11 @@ def _edges(a, b, breakpoints):
 
 
 def integrate(f, a=0.0, b=1.0, breakpoints=(), tol=1e-9):
-    """Adaptive integral of ``f`` over [a, b], panels cut at breakpoints."""
+    """Adaptive integral of ``f`` over [a, b], panels cut at breakpoints.
+
+    The adaptive reference for tests and the benchmark's probe; no library
+    path calls it. Bisection stops at depth 24 without raising.
+    """
     edges = _edges(a, b, breakpoints)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):

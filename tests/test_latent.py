@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ivda import (
     Degenerate,
     InvertedTriangular,
     Kde,
+    LatentDistribution,
     ShiftedBeta,
     Triangular,
     TruncatedNormal,
@@ -266,6 +268,14 @@ def test_truncated_normal_quantile_at_narrow_sigma_near_both_edges(sigma2):
     assert np.max(np.abs(got - expected)) <= 2.3e-16
 
 
+@pytest.mark.parametrize("sigma2", [1e-6, 5e-4, 0.01])
+def test_truncated_normal_quantile_at_one_is_the_upper_end(sigma2):
+    # below sigma2 ~ 1/1400, Phi(-1/sigma) underflows to 0, the lower end of
+    # the norm_ppf domain; a cross-moment grid cut at Kde knots reaches t = 1
+    assert TruncatedNormal(sigma2).quantile(1.0) == 1.0
+    assert math.isfinite(cross_moment(_clustered_kde(), TruncatedNormal(sigma2)))
+
+
 @pytest.mark.parametrize("sigma2", [0.01, 0.25, 0.999999])
 def test_truncated_normal_quantile_below_unit_sigma_is_the_defining_formula(sigma2):
     # the defining formula on t <= 1/2, bitwise; the odd symmetry above it
@@ -339,6 +349,45 @@ def test_cross_moment_closed_form_matches_quadrature_for_any_mode():
         quad = cross_moment(Uniform(), Triangular(float(m)), method="quadrature")
         assert closed == pytest.approx((7.0 + m * m) / 30.0, abs=1e-15)
         assert quad == pytest.approx(closed, abs=1e-8)
+
+
+def test_kde_cross_moments_with_parametric_latents_meet_the_tolerance(rng):
+    # reference: 32-node rule on every cell between the KDE's cdf knots, with
+    # a graded mesh for the square-root ends of the parametric quantiles
+    grading = 10.0 ** -np.arange(1.0, 15.0)
+    ends = np.concatenate([grading, 1.0 - grading])
+    for k in _kde_cases(rng)[1:]:
+        for d in (ShiftedBeta(2.0, 3.0), InvertedTriangular()):
+            cells = np.concatenate([k._cdf[1:-1], d.breakpoints(), ends])
+            reference = integrate_fixed(lambda t: k._quantile(t) * d._quantile(t),
+                                        panels=16, breakpoints=cells)
+            assert abs(cross_moment(k, d) - reference) <= 1e-9
+
+
+class _HiddenJump(LatentDistribution):
+    """Quantile with a unit jump at a t that ``breakpoints()`` leaves out."""
+
+    def _quantile(self, t):
+        return np.where(t < 0.3 + 1e-3 * math.sqrt(2.0), t - 1.0, t)
+
+
+def test_unresolved_cross_moment_raises_instead_of_returning():
+    with pytest.raises(NumericFailure):
+        cross_moment(_HiddenJump(), ShiftedBeta(2.0, 3.0))
+
+
+def test_cross_moment_tables_hold_bounded_memory(rng):
+    # a table cut at a KDE's cdf knots holds about 1.1 MB, and each pair
+    # builds four, so past pairs' tables must not stay cached
+    tri = Triangular(0.3)
+    tracemalloc.start()
+    try:
+        for _ in range(64):
+            cross_moment(Kde(rng.uniform(-1.0, 1.0, size=60)), tri)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 48e6
 
 
 def test_cross_moment_with_degenerate_is_zero():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,10 +16,13 @@ from ivda import (
     Triangular,
     TruncatedNormal,
     Uniform,
+    VariableMicrodata,
     correlation_from_cov,
     cov_model7,
     covariance_quantile_oracle,
+    cross_moment,
     dist_sq_box,
+    empirical_moment_summary,
     frechet_variance,
     frobenius_diff,
     jacobi_eigenvalues,
@@ -27,8 +31,9 @@ from ivda import (
     symbolic_covariance,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
+from ivda.latent import _cached_cross_moment, _closed_cross_moment
 
-from conftest import ALL_FAMILIES, make_frame, make_mixed_frame
+from conftest import ALL_FAMILIES, make_frame, make_latent, make_mixed_frame
 
 
 def two_row_uniform_frame():
@@ -300,7 +305,8 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
     for target in ("ivda.latent.cross_moment", "ivda.mallows.cross_moment",
                    "ivda.mallows._latent_moments", "ivda.moments._latent_moments",
                    "ivda.mallows._dist_sq_columns", "ivda.moments._dist_sq_columns",
-                   "ivda.mallows.MomentSummary.from_latents"):
+                   "ivda.mallows.MomentSummary.from_latents",
+                   "ivda.latent._cached_cross_moment"):
         monkeypatch.setattr(target, closed_form)
     for i in range(frame.p):
         for j in range(i, frame.p):
@@ -308,6 +314,23 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
     oracle = math.fsum(oracle_dist_sq(x1, u, x2, u) for x1, x2, u in
                        zip(rows[0].intervals, rows[1].intervals, frame.latents))
     assert abs(oracle - dist_sq) < 1e-7
+
+
+def test_no_library_path_reaches_the_adaptive_integrator(rng, monkeypatch):
+    # quadrature.integrate stays as the tests' adaptive reference only
+    def adaptive(*args, **kwargs):
+        raise AssertionError("a library path reached quadrature.integrate")
+
+    for target in ("ivda.quadrature.integrate", "ivda.quadrature._refine"):
+        monkeypatch.setattr(target, adaptive)
+    _cached_cross_moment.cache_clear()
+    symbolic_covariance(make_mixed_frame(rng, 12))
+    empirical_moment_summary([VariableMicrodata(name="a", sample=rng.uniform(-0.8, 0.8, 200)),
+                              VariableMicrodata(name="b", latent=Triangular(-0.3))])
+    for f1, f2 in itertools.combinations_with_replacement(ALL_FAMILIES, 2):
+        d1, d2 = make_latent(rng, f1), make_latent(rng, f2)
+        if _closed_cross_moment(d1, d2) is None:
+            assert math.isfinite(cross_moment(d1, d2))
 
 
 # --- correlation -----------------------------------------------------------------
