@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .ingest import (
     write_scaled_csv,
 )
 from .interval import Interval
-from .latent import Degenerate, latent_from_dict, latent_to_dict
+from .latent import _FAMILIES, Degenerate, latent_from_dict, latent_to_dict
 from .mallows import distance_matrix, iso_distance_set
 from .moments import (
     correlation_from_cov,
@@ -44,32 +45,29 @@ from .moments import (
     symbolic_covariance,
 )
 
-_SHORTHAND_FAMILIES = {
-    "uniform": ("uniform", ()),
-    "triangular": ("triangular", ("mode",)),
-    "invtriangular": ("inverted_triangular", ()),
-    "inverted_triangular": ("inverted_triangular", ()),
-    "truncnormal": ("truncated_normal", ("sigma2",)),
-    "truncated_normal": ("truncated_normal", ("sigma2",)),
-    "beta": ("shifted_beta", ("alpha", "beta")),
-    "shifted_beta": ("shifted_beta", ("alpha", "beta")),
-    "degenerate": ("degenerate", ()),
-}
+# short names for three families; any other shorthand is a family's tag
+_ALIASES = {"invtriangular": "inverted_triangular", "truncnormal": "truncated_normal",
+            "beta": "shifted_beta"}
 
 
 def _parse_latent_shorthand(text):
-    """Parse 'triangular:0', 'beta:0.44,2.15', 'uniform', ... into a dict."""
+    """Parse 'triangular:0', 'beta:0.44,2.15', 'uniform', ... into a dict.
+
+    The parameters are the family's fields in order; a kde needs a sample
+    file, so it has no shorthand.
+    """
     name, _, params = text.partition(":")
     name = name.strip().lower()
-    if name not in _SHORTHAND_FAMILIES:
+    family = _ALIASES.get(name, name)
+    if not is_dataclass(_FAMILIES.get(family)):
         raise DomainError(f"unknown latent family shorthand {name!r}")
-    family, fields = _SHORTHAND_FAMILIES[name]
+    keys = [field.name for field in fields(_FAMILIES[family])]
     spec = {"family": family}
     if params:
         values = [v for v in params.split(",") if v.strip()]
-        if len(values) > len(fields):
+        if len(values) > len(keys):
             raise DomainError(f"too many parameters for latent family {name!r}")
-        for key, value in zip(fields, values):
+        for key, value in zip(keys, values):
             try:
                 spec[key] = float(value)
             except ValueError:
@@ -78,14 +76,12 @@ def _parse_latent_shorthand(text):
     return spec
 
 
-def _resolve_latents(frame, latents_arg, base_dir="."):
+def _resolve_latents(frame, latents_arg):
     """Attach latents to a frame from a shorthand or a JSON mapping file.
 
     Variables whose ranges are all zero receive the degenerate latent
     automatically, matching the zero-range convention.
     """
-    if latents_arg is None:
-        raise DataValidationError("no latent specification given (use --latents)")
     path = Path(latents_arg)
     if path.suffix == ".json":
         mapping = json.loads(path.read_text(encoding="utf-8"))
@@ -94,9 +90,8 @@ def _resolve_latents(frame, latents_arg, base_dir="."):
         resolved = {name: latent_from_dict(spec, base_dir=path.parent)
                     for name, spec in mapping.items()}
     else:
-        spec = _parse_latent_shorthand(latents_arg)
-        resolved = {name: latent_from_dict(spec, base_dir=base_dir)
-                    for name in frame.names}
+        dist = latent_from_dict(_parse_latent_shorthand(latents_arg))
+        resolved = dict.fromkeys(frame.names, dist)
     ranges = frame.ranges
     for j, name in enumerate(frame.names):
         if np.all(ranges[:, j] == 0.0):
@@ -104,16 +99,14 @@ def _resolve_latents(frame, latents_arg, base_dir="."):
     return frame.with_latents(resolved)
 
 
-def _load_valid_frame(path, latents_arg=None):
+def _load_valid_frame(path, latents_arg):
     frame = load_interval_csv(path)
     violations = frame.validate()
     if violations:
         raise DataValidationError(
             f"{path}: {len(violations)} validation violation(s)",
             violations=[v.__dict__ for v in violations])
-    if latents_arg is not None:
-        frame = _resolve_latents(frame, latents_arg)
-    return frame
+    return _resolve_latents(frame, latents_arg)
 
 
 def _write_matrix_csv(matrix, names, path):
@@ -146,7 +139,7 @@ def _emit(obj):
 
 def _require(args, *names):
     # required values may come from the config file, so the parser cannot
-    # enforce them; check after defaults are merged
+    # enforce them; check after parsing
     missing = [name for name in names if getattr(args, name, None) is None]
     if missing:
         raise DataValidationError(
@@ -340,14 +333,14 @@ def _build_parser():
         prog="ivda",
         description="Interval-valued data analysis: distances, barycentres, "
                     "and symbolic covariance under latent microdata models.")
-    parser.add_argument("--config", help="JSON file with default argument values; "
-                                         "command-line flags win")
+    parser.add_argument("--config", help="JSON file of flag values; keys the subcommand "
+                                         "does not take are ignored, and flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("aggregate", help="aggregate microdata into intervals")
     p.add_argument("--microdata", help="CSV: group...,variable,value")
-    p.add_argument("--trim", type=float,
-                   help="fraction trimmed from each tail of every cell (default 0)")
+    p.add_argument("--trim", type=float, default=0.0,
+                   help="fraction trimmed from each tail of every cell (default %(default)s)")
     p.add_argument("--keep-degenerate", action="store_true",
                    help="keep zero-range cells when trim is 0")
     p.add_argument("--out", help="interval CSV output")
@@ -360,8 +353,9 @@ def _build_parser():
     p.add_argument("--scaled", help="scaled microdata CSV (beta/kde)")
     p.add_argument("--summaries", help="summary statistics CSV (triangular-pearson)")
     p.add_argument("--bandwidth", type=float, help="kde bandwidth override")
-    p.add_argument("--alpha", type=float,
-                   help="symmetry test level before Bonferroni correction (default 0.05)")
+    p.add_argument("--alpha", type=float, default=0.05,
+                   help="symmetry test level before Bonferroni correction "
+                        "(default %(default)s)")
     p.add_argument("--out", help="JSON fit report output")
     p.set_defaults(func=_cmd_fit)
 
@@ -373,9 +367,9 @@ def _build_parser():
 
     p = sub.add_parser("distance", help="pairwise distance matrix")
     add_frame_args(p)
-    p.add_argument("--threads", type=int,
+    p.add_argument("--threads", type=int, default=1,
                    help="threads that share out the matrix's fixed row blocks; "
-                        "the output is the same for any count (default 1)")
+                        "the output is the same for any count (default %(default)s)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_distance)
 
@@ -387,8 +381,8 @@ def _build_parser():
     for name, correlation in (("covariance", False), ("correlation", True)):
         p = sub.add_parser(name, help=f"symbolic {name} matrix")
         add_frame_args(p)
-        p.add_argument("--estimator", choices=["barycentre", "model7"],
-                       help="barycentre (default) or the diagonal comparison estimator")
+        p.add_argument("--estimator", choices=["barycentre", "model7"], default="barycentre",
+                       help="model7: the diagonal comparison estimator (default %(default)s)")
         p.add_argument("--ddof1", action="store_true",
                        help="use the n-1 divisor instead of n")
         p.add_argument("--out")
@@ -404,8 +398,8 @@ def _build_parser():
     p.add_argument("--x0", help="reference interval as 'lo,hi' (use --x0=-3,5 "
                                "for negative bounds)")
     p.add_argument("--delta", type=float)
-    p.add_argument("--radius", type=float, help="default 1.0")
-    p.add_argument("--n-points", type=int, help="default 256")
+    p.add_argument("--radius", type=float, default=1.0, help="(default %(default)s)")
+    p.add_argument("--n-points", type=int, default=256, help="(default %(default)s)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_ellipse)
 
@@ -415,42 +409,40 @@ def _build_parser():
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pairs_data)
 
-    return parser
+    return parser, sub.choices
 
 
-# hard defaults applied after config merging; the parser leaves these unset
-# so that a config file value can be told apart from a flag the user passed
-_FALLBACKS = {
-    "trim": 0.0,
-    "threads": 1,
-    "alpha": 0.05,
-    "estimator": "barycentre",
-    "radius": 1.0,
-    "n_points": 256,
-}
+def _parse_args(argv):
+    """Parse argv over the subcommand defaults that a --config file sets.
 
-
-def _merge_config(args):
-    if getattr(args, "config", None):
+    Each key that the subcommand takes is parsed as its flag: ``--key=value``,
+    or a bare ``--key`` for true; null and false set nothing.
+    """
+    parser, subcommands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(config, dict):
             raise DataValidationError("config file must hold a JSON object")
+        sub = subcommands[args.command]
+        # keys match dests, not flag prefixes: fit's 'scaled' is not --scaled-out
+        dests = vars(sub.parse_args([]))
+        flags = []
         for key, value in config.items():
-            attr = key.replace("-", "_")
-            current = getattr(args, attr, None)
-            if current is None or current is False:
-                setattr(args, attr, value)
-    for attr, value in _FALLBACKS.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+            if key.replace("-", "_") in dests and value is not None and value is not False:
+                if isinstance(value, (list, dict)):
+                    raise DataValidationError(f"config key {key!r} is not a single value")
+                flag = "--" + key.replace("_", "-")
+                flags.append(flag if value is True else f"{flag}={value}")
+        sub.set_defaults(**vars(sub.parse_known_args(flags)[0]))
+        args = parser.parse_args(argv)
     return args
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = _merge_config(parser.parse_args(argv))
+        args = _parse_args(argv)
         return args.func(args)
     except NumericFailure as exc:
         json.dump({"error": {"type": "numeric", "message": str(exc)}}, sys.stderr)

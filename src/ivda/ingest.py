@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError, DomainError
-from .estimation import ScaledSample
+from .estimation import ScaledSample, scale_to_latent
 from .interval import Interval, IntervalFrame
 
 __all__ = [
@@ -136,9 +136,7 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
             lo, hi, rest = row[name]
             if hi - lo == 0.0:
                 continue
-            iv = Interval(lo, hi)
-            u = 2.0 * (np.asarray(rest) - iv.centre) / iv.range
-            values.append(np.clip(u, -1.0, 1.0))
+            values.append(scale_to_latent(rest, Interval(lo, hi)))
             rows.extend([labels[i]] * len(rest))
         if values:
             scaled[name] = ScaledSample(variable=name,

@@ -228,12 +228,7 @@ def mahalanobis_form(latents):
     psi, delta = _latent_moments(latents)
     variances = 4.0 * delta - psi ** 2
 
-    h = np.zeros((2 * p, 2 * p))
-    h[:p, :p] = np.eye(p)
-    for i in range(p):
-        h[i, p + i] = h[p + i, i] = 0.5 * psi[i]
-        h[p + i, p + i] = delta[i]
-
+    h = np.block([[np.eye(p), np.diag(0.5 * psi)], [np.diag(0.5 * psi), np.diag(delta)]])
     live = [i for i in range(p) if variances[i] > 0.0]
     kept = tuple(range(p)) + tuple(p + i for i in live)
 
@@ -242,12 +237,9 @@ def mahalanobis_form(latents):
     if len(live) == p:
         qdiag = 4.0 / variances
         q = np.diag(qdiag)
-        h_inverse = np.zeros((2 * p, 2 * p))
         # closed block inverse; never a generic numeric inversion
-        for i in range(p):
-            h_inverse[i, i] = 1.0 + 0.25 * psi[i] ** 2 * qdiag[i]
-            h_inverse[i, p + i] = h_inverse[p + i, i] = -0.5 * psi[i] * qdiag[i]
-            h_inverse[p + i, p + i] = qdiag[i]
+        off = np.diag(-0.5 * psi * qdiag)
+        h_inverse = np.block([[np.diag(1.0 + 0.25 * psi ** 2 * qdiag), off], [off, q]])
     return MahalanobisForm(h=h, kept_indices=kept, h_inverse=h_inverse, q=q)
 
 

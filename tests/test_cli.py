@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from ivda.cli import main
+from ivda import (
+    Degenerate,
+    InvertedTriangular,
+    ShiftedBeta,
+    Triangular,
+    TruncatedNormal,
+    Uniform,
+    latent_from_dict,
+)
+from ivda.cli import _parse_latent_shorthand, main
 from ivda.datasets import bundled_path
+from ivda.errors import DomainError
 
 
 @pytest.fixture
@@ -257,3 +267,123 @@ def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix):
     code, _, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(stderr)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("covariance", "estimator", "model8"),
+    ("aggregate", "trim", "abc"),
+    ("covariance", "ddof1", "no"),
+    ("distance", "threads", 2.5),
+])
+def test_config_value_is_checked_like_its_flag(tmp_path, capsys, intervals_csv,
+                                               command, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "microdata": str(bundled_path("flights_like_microdata.csv")),
+        "intervals": intervals_csv, "latents": "uniform",
+        "out": str(tmp_path / "out.csv"), key: value,
+    }), encoding="utf-8")
+    # argparse's own exit, not an exception escaping main
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), command])
+    assert exc.value.code == 2
+    assert f"argument --{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_string_value_gives_the_flag_outputs(tmp_path, capsys):
+    micro = str(bundled_path("flights_like_microdata.csv"))
+    outputs = {}
+    for source in ("flag", "config"):
+        d = tmp_path / source
+        d.mkdir()
+        argv = ["aggregate", "--microdata", micro, "--out", str(d / "iv.csv"),
+                "--scaled-out", str(d / "scaled.csv"), "--report-out", str(d / "report.json")]
+        if source == "flag":
+            argv += ["--trim", "0.1"]
+        else:
+            (d / "config.json").write_text('{"trim": "0.1"}', encoding="utf-8")
+            argv = ["--config", str(d / "config.json")] + argv
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs[source] = [stdout] + [(d / f).read_bytes()
+                                      for f in ("iv.csv", "scaled.csv", "report.json")]
+    assert outputs["config"] == outputs["flag"]
+    assert json.loads(outputs["config"][3])["trim"] == 0.1
+
+
+def test_config_ignores_keys_the_subcommand_does_not_take(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    # fit's 'scaled' names no prefix of aggregate's --scaled-out, and a bad
+    # value under another subcommand's key is never parsed
+    config.write_text(json.dumps({
+        "microdata": str(bundled_path("flights_like_microdata.csv")),
+        "out": str(tmp_path / "iv.csv"),
+        "scaled": str(tmp_path / "scaled.csv"),
+        "alpha": "abc", "estimator": "model8", "a": "x", "no_such_key": [1],
+    }), encoding="utf-8")
+    code, _, _ = run_cli(capsys, "--config", str(config), "aggregate")
+    assert code == 0
+    assert (tmp_path / "iv.csv").exists()
+    assert not (tmp_path / "scaled.csv").exists()
+
+
+def test_config_list_value_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"x0": [-3, 5], "delta": 0.1,
+                                  "out": str(tmp_path / "e.csv")}), encoding="utf-8")
+    code, _, stderr = run_cli(capsys, "--config", str(config), "ellipse")
+    assert code == 2
+    assert "'x0'" in json.loads(stderr)["error"]["message"]
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("aggregate", "(default 0.0)"), ("fit", "(default 0.05)"),
+    ("distance", "(default 1)"), ("barycentre", None),
+    ("covariance", "(default barycentre)"), ("correlation", "(default barycentre)"),
+    ("compare", None), ("ellipse", "(default 256)"), ("pairs-data", None),
+])
+def test_help_exits_0_and_shows_defaults(capsys, command, shown):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.startswith(f"usage: ivda {command}")
+    assert shown is None or shown in text
+
+
+@pytest.mark.parametrize("shorthand, expected", [
+    ("uniform", Uniform()), ("triangular", Triangular(0.0)),
+    ("Triangular: -0.3", Triangular(-0.3)), ("invtriangular", InvertedTriangular()),
+    ("inverted_triangular", InvertedTriangular()), ("truncnormal", TruncatedNormal()),
+    ("truncnormal:0.2", TruncatedNormal(0.2)), ("truncated_normal:0.2", TruncatedNormal(0.2)),
+    ("beta:0.44,2.15", ShiftedBeta(0.44, 2.15)), ("shifted_beta:2,3", ShiftedBeta(2.0, 3.0)),
+    ("degenerate", Degenerate()),
+])
+def test_latent_shorthand_names_each_family(shorthand, expected):
+    assert latent_from_dict(_parse_latent_shorthand(shorthand)) == expected
+
+
+@pytest.mark.parametrize("shorthand, message", [
+    ("kde", "unknown latent family shorthand 'kde'"),
+    ("cauchy", "unknown latent family shorthand 'cauchy'"),
+    ("triangular:0,1", "too many parameters"),
+])
+def test_latent_shorthand_rejects(shorthand, message):
+    with pytest.raises(DomainError, match=message):
+        _parse_latent_shorthand(shorthand)
+
+
+def test_all_zero_range_column_gets_the_degenerate_latent(tmp_path, capsys):
+    intervals = tmp_path / "iv.csv"
+    intervals.write_text("label,x.lo,x.hi,y.lo,y.hi\na,1,2,3,3\nb,2,5,4,4\nc,0,1,5,5\n",
+                         encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "covariance", "--intervals", str(intervals),
+                         "--latents", "uniform", "--out", str(tmp_path / "cov.csv"),
+                         "--report-out", str(report))
+    assert code == 0
+    audit = json.loads(report.read_text())
+    # delta = E u^2 / 4 is 1/12 for the uniform latent and 0 for the degenerate one
+    assert audit["delta"] == [pytest.approx(1.0 / 12.0), 0.0]
+    assert audit["euu"][1] == [0.0, 0.0]

@@ -116,3 +116,10 @@ def test_frame_shape_validation():
         IntervalFrame([[0.0]], [[1.0]], ("a", "a"))
     with pytest.raises(DomainError):
         IntervalFrame([[0.0]], [[1.0]], ("a",), labels=("x", "y"))
+
+
+def test_validate_degenerate_latent_with_positive_ranges():
+    frame = IntervalFrame([[0.0], [1.0]], [[2.0], [1.5]], ("a",), latents=(Degenerate(),))
+    violations = frame.validate()
+    assert [(v.rule, v.column) for v in violations] == [("degenerate-latent-mismatch", 0)]
+    assert "positive ranges but a degenerate latent" in violations[0].message

@@ -20,7 +20,7 @@ from ivda import (
     microdata_quantile,
     quantile_correlation,
 )
-from ivda.errors import DomainError, NumericFailure
+from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda.quadrature import integrate, integrate_fixed
 
 from conftest import ALL_FAMILIES, make_latent, trapezoid
@@ -376,6 +376,12 @@ def test_unresolved_cross_moment_raises_instead_of_returning():
         cross_moment(_HiddenJump(), ShiftedBeta(2.0, 3.0))
 
 
+def test_kdes_share_one_read_only_grid(rng):
+    a, b = Kde(rng.uniform(-1.0, 1.0, size=60)), Kde(rng.uniform(-1.0, 1.0, size=30))
+    assert a._grid is b._grid
+    assert not a._grid.flags.writeable
+
+
 def test_cross_moment_tables_hold_bounded_memory(rng):
     # a table cut at a KDE's cdf knots holds about 1.1 MB, and each pair
     # builds four, so past pairs' tables must not stay cached
@@ -492,6 +498,21 @@ def test_latent_from_dict_rejects_unknown():
         latent_from_dict({"family": "cauchy"})
     with pytest.raises(Exception):
         latent_from_dict({"mode": 0.1})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"family": ["uniform"]}, "unknown latent family"),
+    ({"family": "shifted_beta", "alpha": 2.0}, "missing field 'beta'"),
+    ({"family": "kde", "bandwidth": 0.1}, "missing field 'sample_path'"),
+])
+def test_latent_from_dict_names_a_malformed_spec(spec, message):
+    with pytest.raises(DataValidationError, match=message):
+        latent_from_dict(spec)
+
+
+def test_latent_from_dict_fills_field_defaults_and_ignores_extra_keys():
+    assert latent_from_dict({"family": "triangular", "n_used": 5}) == Triangular(0.0)
+    assert latent_from_dict({"family": "truncated_normal"}) == TruncatedNormal(1.0 / 9.0)
 
 
 # --- construction validation ----------------------------------------------
