@@ -10,7 +10,6 @@ Every fit is deterministic: no randomness enters any routine here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -133,13 +132,13 @@ def estimate_modes_pearson(means, medians):
 def _binom_two_sided_p(k, n):
     # exact doubled-tail p-value for k successes out of n at proportion 1/2;
     # by symmetry the smaller tail is C(n, 0) + ... + C(n, min(k, n - k)),
-    # built term by term so the work stays linear in the tail length
+    # built term by term so the work stays linear in the tail length; int / int
+    # is correctly rounded, as Fraction's float() of the same ratio is
     term = tail = 1
     for i in range(min(k, n - k)):
         term = term * (n - i) // (i + 1)
         tail += term
-    p = Fraction(2 * tail, 1 << n)
-    return float(min(p, Fraction(1)))
+    return min(1.0, (2 * tail) / (1 << n))
 
 
 def test_mode_symmetry(modes, alpha=0.05, n_tests=1):

@@ -169,9 +169,12 @@ def read_microdata_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) < len(header):
+                raise DataValidationError(
+                    f"{path}:{lineno}: row has {len(row)} fields, the header {len(header)}")
             try:
                 value = float(row[val_col])
-            except (ValueError, IndexError):
+            except ValueError:
                 raise DataValidationError(
                     f"{path}:{lineno}: cannot parse value field") from None
             try:
@@ -180,6 +183,13 @@ def read_microdata_csv(path):
             except DomainError as exc:
                 raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
     return records
+
+
+def _require_cells(row, required, path, lineno):
+    # DictReader fills the cells a short row lacks with None
+    missing = sorted(name for name in required if row[name] is None)
+    if missing:
+        raise DataValidationError(f"{path}:{lineno}: row has no cell for {missing}")
 
 
 def read_summary_csv(path):
@@ -197,6 +207,7 @@ def read_summary_csv(path):
             raise DataValidationError(
                 f"{path}: header must contain columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
+            _require_cells(row, required, path, lineno)
             try:
                 iv = Interval(float(row["min"]), float(row["max"]))
                 out.setdefault(row["variable"], []).append(
@@ -347,6 +358,7 @@ def read_scaled_csv(path):
             raise DataValidationError(
                 f"{path}: header must contain columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
+            _require_cells(row, required, path, lineno)
             try:
                 value = float(row["value"])
             except ValueError:

@@ -252,12 +252,22 @@ def silverman_bandwidth(sample):
     if n < 2:
         raise DomainError("bandwidth selection needs at least two values")
     sd = float(np.std(sample, ddof=1))
-    q75, q25 = np.percentile(sample, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    ordered = np.sort(sample, axis=None)
+    iqr = float(_linear_quantile(ordered, 0.75) - _linear_quantile(ordered, 0.25))
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     if spread <= 0.0:
         raise NumericFailure("constant sample: no usable bandwidth")
     return 0.9 * spread * n ** (-0.2)
+
+
+def _linear_quantile(ordered, q):
+    # np.percentile's default "linear" method on a sorted sample, step for
+    # step, so the bits agree; np.percentile itself would import numpy.ma
+    h = q * (ordered.size - 1)
+    i = math.floor(h)
+    g = h - i
+    a, b = ordered[i], ordered[min(i + 1, ordered.size - 1)]
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
 
 
 _KDE_GRID_SIZE = 4096
@@ -407,6 +417,16 @@ def _reflected_density(sample, grid, h):
     return density / n
 
 
+def _merged_knots(a, b):
+    # np.union1d's sort-and-compare path, without the numpy.ma import that
+    # np.unique makes on its first call
+    t = np.sort(np.concatenate((a, b)))
+    keep = np.empty(t.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(t[1:], t[:-1], out=keep[1:])
+    return t[keep]
+
+
 def _closed_cross_moment(d1, d2):
     if isinstance(d1, Degenerate) or isinstance(d2, Degenerate):
         return 0.0
@@ -421,7 +441,7 @@ def _closed_cross_moment(d1, d2):
         # both quantiles are linear between the merged cdf knots, so the
         # two-point Gauss rule is exact there; its nodes are interior, clear
         # of the jump a quantile makes where the cdf is flat
-        t = np.union1d(*(d._cdf if isinstance(d, Kde) else (0.0, 1.0) for d in (d1, d2)))
+        t = _merged_knots(*(d._cdf if isinstance(d, Kde) else (0.0, 1.0) for d in (d1, d2)))
         half = 0.5 * np.diff(t)
         nodes = (t[:-1] + half * (1.0 - _GAUSS2), t[:-1] + half * (1.0 + _GAUSS2))
         return float(np.sum(half * sum(d1._quantile(x) * d2._quantile(x) for x in nodes)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,6 +345,10 @@ def distance_matrix(frame, threads=1):
 
     starts = range(0, n, _ROW_BLOCK)
     if threads > 1 and len(starts) > 1:
+        # imported here: the pool's module loads logging and queue, which a
+        # single-threaded run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill_block, starts))
     else:

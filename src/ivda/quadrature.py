@@ -11,37 +11,45 @@ quadrature probe. Integrands must be vectorized over numpy arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = ["integrate", "integrate_fixed", "fixed_grid", "gauss_weights"]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
-
 _MAX_DEPTH = 24
 
 
+@functools.cache
+def _gauss_rule():
+    # the 32-point rule, built on first use: importing numpy.polynomial costs
+    # a few milliseconds that a run without quadrature need not pay
+    return np.polynomial.legendre.leggauss(32)
+
+
 def gauss_weights():
-    return _WEIGHTS
+    return _gauss_rule()[1]
 
 
 def _panel(f, a, b):
+    nodes, weights = _gauss_rule()
     half = 0.5 * (b - a)
-    x = a + half * (_NODES + 1.0)
-    return half * float(np.sum(_WEIGHTS * f(x)))
+    x = a + half * (nodes + 1.0)
+    return half * float(np.sum(weights * f(x)))
 
 
 def _panel_nodes(edges):
     # half-widths of the panels between consecutive edges, and their nodes
     half = 0.5 * (edges[1:] - edges[:-1])
-    return half, edges[:-1, None] + half[:, None] * (_NODES + 1.0)[None, :]
+    return half, edges[:-1, None] + half[:, None] * (_gauss_rule()[0] + 1.0)[None, :]
 
 
 def _panel_sums(f, half, nodes):
     # one vectorized integrand call across all panels
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half * (values @ _WEIGHTS)
+    return half * (values @ gauss_weights())
 
 
 def _refine(f, a, b, coarse, tol, depth):

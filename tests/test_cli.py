@@ -387,3 +387,17 @@ def test_all_zero_range_column_gets_the_degenerate_latent(tmp_path, capsys):
     # delta = E u^2 / 4 is 1/12 for the uniform latent and 0 for the degenerate one
     assert audit["delta"] == [pytest.approx(1.0 / 12.0), 0.0]
     assert audit["euu"][1] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["aggregate", "--microdata"], "g,value,variable\nb,2.0\n"),
+    (["fit", "--method", "kde", "--scaled"], "variable,row,value\nx,r1\n"),
+    (["fit", "--method", "triangular-pearson", "--summaries"],
+     "group,variable,mean,median,min,max\ng,x,0.0,0.1\n"),
+], ids=["microdata", "scaled", "summary"])
+def test_short_csv_row_exits_2_naming_its_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text, encoding="utf-8")
+    code, _, stderr = run_cli(capsys, *argv, str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(stderr)["error"]["message"].startswith(f"{path}:2: ")

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ivda import (
     test_mode_symmetry,
 )
 from ivda.datasets import rtt_summaries
+from ivda.estimation import _binom_two_sided_p
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda.special import betainc_inv
 
@@ -189,6 +192,16 @@ def test_symmetry_p_matches_exact_tail_sum_oracle():
         modes = np.array([1.0] * k + [-1.0] * (n - k))
         _, p = test_mode_symmetry(modes)
         assert p == pytest.approx(oracle(k, n), abs=1e-12)
+
+
+def test_binom_p_is_the_fraction_formula_bit_for_bit():
+    # int / int true division against the rounding of an exact Fraction
+    for n in [*range(1, 60), 101, 564, 2000]:
+        tails = list(itertools.accumulate(math.comb(n, i) for i in range(n + 1)))
+        for k in range(n + 1):
+            tail = tails[min(k, n - k)]
+            expected = float(min(Fraction(2 * tail, 1 << n), Fraction(1)))
+            assert _binom_two_sided_p(k, n).hex() == expected.hex(), (k, n)
 
 
 def test_symmetry_p_monotone_in_imbalance():

@@ -19,8 +19,10 @@ from ivda import (
     latent_to_dict,
     microdata_quantile,
     quantile_correlation,
+    silverman_bandwidth,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
+from ivda.latent import _linear_quantile, _merged_knots
 from ivda.quadrature import integrate, integrate_fixed
 
 from conftest import ALL_FAMILIES, make_latent, trapezoid
@@ -138,6 +140,37 @@ def _kde_cases(rng):
     return [make_latent(rng, "kde"),
             Kde(2.0 * rng.beta(0.5, 3.0, size=200) - 1.0),
             _clustered_kde()]
+
+
+def _percentile_bandwidth(sample):
+    # silverman_bandwidth as written on np.percentile
+    sd = float(np.std(sample, ddof=1))
+    q75, q25 = np.percentile(sample, [75.0, 25.0])
+    iqr = float(q75 - q25)
+    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+    return 0.9 * spread * sample.size ** (-0.2)
+
+
+def test_silverman_bandwidth_is_the_percentile_rule_bit_for_bit(rng):
+    sizes = [*range(2, 80), 257, 1000, 4097]
+    for n in sizes:
+        # continuous, and heavy with ties so that quartiles fall between equal values
+        for sample in (rng.normal(size=n), rng.integers(0, 3, size=n) / 2.0,
+                       np.repeat(rng.normal(size=n // 2 + 1), 2)[:n]):
+            ordered = np.sort(sample)
+            for q in (0.25, 0.75):
+                assert _linear_quantile(ordered, q).tobytes() == \
+                    np.percentile(sample, 100.0 * q).tobytes()
+            if np.ptp(sample) > 0.0:
+                assert silverman_bandwidth(sample).hex() == _percentile_bandwidth(sample).hex()
+
+
+def test_knot_merge_is_union1d_bit_for_bit(rng):
+    # _clustered_kde's flat cells repeat cdf values many times over
+    knots = [d._cdf for d in _kde_cases(rng)] + [(0.0, 1.0)]
+    for a in knots:
+        for b in knots:
+            assert _merged_knots(a, b).tobytes() == np.union1d(a, b).tobytes()
 
 
 def test_kde_moments_match_per_segment_quadrature(rng):

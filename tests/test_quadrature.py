@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivda.errors import DomainError
-from ivda.quadrature import integrate, integrate_fixed
+from ivda.quadrature import _gauss_rule, gauss_weights, integrate, integrate_fixed
 
 
 def test_polynomial_exactness():
@@ -34,3 +34,9 @@ def test_bad_interval():
         integrate(lambda t: t, 1.0, 0.0)
     with pytest.raises(DomainError):
         integrate_fixed(lambda t: t, panels=0)
+
+
+def test_rule_built_on_first_use_is_leggauss_32_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    assert gauss_weights().tobytes() == weights.tobytes()
+    assert _gauss_rule()[0].tobytes() == nodes.tobytes()
