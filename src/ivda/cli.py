@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DataValidationError, DomainError, NumericFailure
 from .estimation import fit_beta_mom, fit_kde, fit_triangular_pearson
 from .ingest import (
+    _read_table,
     aggregate,
     load_interval_csv,
     read_microdata_csv,
@@ -118,19 +119,14 @@ def _write_matrix_csv(matrix, names, path):
 
 
 def _read_matrix_csv(path):
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataValidationError(f"{path}: empty file")
-        names = header[1:]
-        rows = [row[1:] for row in reader if row]
-    if any(len(row) != len(names) for row in rows):
-        raise DataValidationError(f"{path}: a row does not have the header's {len(header)} cells")
-    try:
-        return np.array([[float(v) for v in row] for row in rows]), names
-    except ValueError:
-        raise DataValidationError(f"{path}: a matrix cell is not a number") from None
+    header, rows = _read_table(path)
+    matrix = []
+    for line, cells in rows:
+        try:
+            matrix.append([float(v) for v in cells[1:]])
+        except ValueError:
+            raise DataValidationError(f"{path}:{line}: a matrix cell is not a number") from None
+    return np.array(matrix), header[1:]
 
 
 def _emit(obj):

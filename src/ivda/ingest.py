@@ -4,7 +4,8 @@ Microdata arrive as (group key, variable, value) records; aggregation trims
 a fixed count from each tail of every cell and takes the min/max of what
 remains. Cells left with zero range are dropped (with their whole row, to
 keep the frame rectangular) and reported. Interval datasets round-trip
-through CSV losslessly.
+through CSV losslessly. Every CSV reader takes its rows from ``_read_table``,
+so one rule decides what a well-formed row is.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ class MicroRecord:
 
 @dataclass
 class AggregationReport:
-    """Dropped cells and structural problems found while aggregating."""
+    """Rows dropped while aggregating, each with the reasons it was dropped."""
 
     dropped_rows: list = field(default_factory=list)
-    messages: list = field(default_factory=list)
 
 
 @dataclass
@@ -147,49 +147,58 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
 
 # --- CSV formats ----------------------------------------------------------
 
-def read_microdata_csv(path):
-    """Read records from a CSV with columns group1[,group2,...],variable,value."""
-    path = Path(path)
-    records = []
-    with path.open(newline="", encoding="utf-8") as fh:
+def _read_table(path):
+    """The header of a CSV table and ``(line, cells)`` for each data row.
+
+    All-blank rows are skipped; any other row must have the header's number
+    of fields. ``line`` is the physical line the row starts on, so a quoted
+    cell that spans lines does not shift the count.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataValidationError(f"{path}: empty file")
-        header = [h.strip() for h in header]
+        rows = []
+        end = reader.line_num
+        for cells in reader:
+            line, end = end + 1, reader.line_num
+            if not "".join(cells).strip():
+                continue
+            if len(cells) != len(header):
+                raise DataValidationError(
+                    f"{path}:{line}: row has {len(cells)} fields, the header {len(header)}")
+            rows.append((line, cells))
+    return header, rows
+
+
+def read_microdata_csv(path):
+    """Read records from a CSV with columns group1[,group2,...],variable,value."""
+    path = Path(path)
+    header, rows = _read_table(path)
+    header = [h.strip() for h in header]
+    try:
+        var_col = header.index("variable")
+        val_col = header.index("value")
+    except ValueError:
+        raise DataValidationError(
+            f"{path}: header must contain 'variable' and 'value' columns") from None
+    key_cols = [i for i in range(len(header)) if i not in (var_col, val_col)]
+    if not key_cols:
+        raise DataValidationError(f"{path}: at least one group column is required")
+    records = []
+    for line, row in rows:
         try:
-            var_col = header.index("variable")
-            val_col = header.index("value")
+            value = float(row[val_col])
         except ValueError:
             raise DataValidationError(
-                f"{path}: header must contain 'variable' and 'value' columns") from None
-        key_cols = [i for i in range(len(header)) if i not in (var_col, val_col)]
-        if not key_cols:
-            raise DataValidationError(f"{path}: at least one group column is required")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise DataValidationError(
-                    f"{path}:{lineno}: row has {len(row)} fields, the header {len(header)}")
-            try:
-                value = float(row[val_col])
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}:{lineno}: cannot parse value field") from None
-            try:
-                records.append(MicroRecord(key=tuple(row[i] for i in key_cols),
-                                           variable=row[var_col], value=value))
-            except DomainError as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+                f"{path}:{line}: cannot parse value field") from None
+        try:
+            records.append(MicroRecord(key=tuple(row[i] for i in key_cols),
+                                       variable=row[var_col], value=value))
+        except DomainError as exc:
+            raise DataValidationError(f"{path}:{line}: {exc}") from exc
     return records
-
-
-def _require_cells(row, required, path, lineno):
-    # DictReader fills the cells a short row lacks with None
-    missing = sorted(name for name in required if row[name] is None)
-    if missing:
-        raise DataValidationError(f"{path}:{lineno}: row has no cell for {missing}")
 
 
 def read_summary_csv(path):
@@ -199,21 +208,20 @@ def read_summary_csv(path):
     row order within each variable.
     """
     path = Path(path)
+    header, rows = _read_table(path)
+    required = {"group", "variable", "mean", "median", "min", "max"}
+    if not required.issubset(header):
+        raise DataValidationError(
+            f"{path}: header must contain columns {sorted(required)}")
     out = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"group", "variable", "mean", "median", "min", "max"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise DataValidationError(
-                f"{path}: header must contain columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            _require_cells(row, required, path, lineno)
-            try:
-                iv = Interval(float(row["min"]), float(row["max"]))
-                out.setdefault(row["variable"], []).append(
-                    (row["group"], float(row["mean"]), float(row["median"]), iv))
-            except (ValueError, DomainError) as exc:
-                raise DataValidationError(f"{path}:{lineno}: {exc}") from exc
+    for line, cells in rows:
+        row = dict(zip(header, cells))
+        try:
+            iv = Interval(float(row["min"]), float(row["max"]))
+            out.setdefault(row["variable"], []).append(
+                (row["group"], float(row["mean"]), float(row["median"]), iv))
+        except (ValueError, DomainError) as exc:
+            raise DataValidationError(f"{path}:{line}: {exc}") from exc
     return out
 
 
@@ -266,39 +274,31 @@ def load_interval_csv(path):
     bounds are loaded as-is and surface through ``IntervalFrame.validate``.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataValidationError(f"{path}: empty file")
-        label_col, pairs = _parse_interval_header(header, path)
-        labels = [] if label_col is not None else None
-        lower_rows = []
-        upper_rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            lo_row = []
-            hi_row = []
-            for name, mode, i1, i2 in pairs:
-                try:
-                    v1 = float(row[i1])
-                    v2 = float(row[i2])
-                except (ValueError, IndexError):
-                    raise DataValidationError(
-                        f"{path}:{lineno}: cannot parse variable {name!r}") from None
-                if mode == 0:
-                    lo, hi = v1, v2
-                else:
-                    lo, hi = v1 - 0.5 * v2, v1 + 0.5 * v2
-                lo_row.append(lo)
-                hi_row.append(hi)
-            lower_rows.append(lo_row)
-            upper_rows.append(hi_row)
-            if labels is not None:
-                labels.append(row[label_col])
-    if not lower_rows:
+    header, rows = _read_table(path)
+    label_col, pairs = _parse_interval_header(header, path)
+    if not rows:
         raise DataValidationError(f"{path}: no data rows")
+    lower_rows = []
+    upper_rows = []
+    for line, row in rows:
+        lo_row = []
+        hi_row = []
+        for name, mode, i1, i2 in pairs:
+            try:
+                v1 = float(row[i1])
+                v2 = float(row[i2])
+            except ValueError:
+                raise DataValidationError(
+                    f"{path}:{line}: cannot parse variable {name!r}") from None
+            if mode == 0:
+                lo, hi = v1, v2
+            else:
+                lo, hi = v1 - 0.5 * v2, v1 + 0.5 * v2
+            lo_row.append(lo)
+            hi_row.append(hi)
+        lower_rows.append(lo_row)
+        upper_rows.append(hi_row)
+    labels = None if label_col is None else [row[label_col] for _, row in rows]
     names = [name for name, *_ in pairs]
     return IntervalFrame(lower_rows, upper_rows, names, labels=labels)
 
@@ -350,23 +350,22 @@ def write_scaled_csv(scaled, path):
 def read_scaled_csv(path):
     """Read long-form scaled microdata back into ScaledSample objects."""
     path = Path(path)
+    header, rows = _read_table(path)
+    required = {"variable", "row", "value"}
+    if not required.issubset(header):
+        raise DataValidationError(
+            f"{path}: header must contain columns {sorted(required)}")
     data = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"variable", "row", "value"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
+    for line, cells in rows:
+        row = dict(zip(header, cells))
+        try:
+            value = float(row["value"])
+        except ValueError:
             raise DataValidationError(
-                f"{path}: header must contain columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            _require_cells(row, required, path, lineno)
-            try:
-                value = float(row["value"])
-            except ValueError:
-                raise DataValidationError(
-                    f"{path}:{lineno}: cannot parse value field") from None
-            entry = data.setdefault(row["variable"], ([], []))
-            entry[0].append(value)
-            entry[1].append(row["row"])
+                f"{path}:{line}: cannot parse value field") from None
+        entry = data.setdefault(row["variable"], ([], []))
+        entry[0].append(value)
+        entry[1].append(row["row"])
     return {name: ScaledSample(variable=name, values=np.array(values),
-                               rows=tuple(rows))
-            for name, (values, rows) in data.items()}
+                               rows=tuple(row_ids))
+            for name, (values, row_ids) in data.items()}

@@ -163,12 +163,6 @@ class IntervalFrame:
     def ranges(self):
         return self.centres_ranges()[1]
 
-    def column_index(self, name):
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DomainError(f"no variable named {name!r}") from None
-
     def with_latents(self, latents):
         """New frame with latents attached; accepts a mapping by name or a
         full sequence in column order."""
@@ -201,6 +195,13 @@ class IntervalFrame:
         ``row_box``; the first row that would not raises a DomainError
         naming the row and the variable."""
         self.require_latents()
+        c, r = self.centres_ranges()
+        degenerate = np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
+        # one pass when every range is finite and positive, or zero on a
+        # degenerate latent (NaN fails every comparison); else find the first
+        # failure below, where a finite range that overflowed to inf passes
+        if np.all(((r > 0.0) & (r < np.inf)) | ((r == 0.0) & degenerate)):
+            return c, r
 
         def refuse(bad, what):
             if np.any(bad):
@@ -209,8 +210,6 @@ class IntervalFrame:
 
         refuse(~(np.isfinite(self._lower) & np.isfinite(self._upper)), "a non-finite bound")
         refuse(self._lower > self._upper, "lower > upper")
-        c, r = self.centres_ranges()
-        degenerate = np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
         refuse((r == 0.0) & ~degenerate, "zero range and must use the degenerate latent")
         return c, r
 

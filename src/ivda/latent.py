@@ -318,7 +318,6 @@ class Kde(LatentDistribution):
         self._bandwidth = bandwidth
         self._hash = hash((bandwidth, sample.tobytes()))
         self._grid = grid
-        self._density = density
         self._density_integral = float(cdf[-1])
         self._cdf = cdf / cdf[-1]
         # the density is uniform inside each cell: sum the cell moments
@@ -339,12 +338,6 @@ class Kde(LatentDistribution):
     def density_integral(self):
         """Mass of the raw (unnormalized) density over [-1, 1]."""
         return self._density_integral
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.interp(np.atleast_1d(arr), self._grid, self._density,
-                        left=0.0, right=0.0).reshape(arr.shape)
-        return out if np.ndim(x) else float(out)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)

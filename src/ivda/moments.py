@@ -63,11 +63,10 @@ def jacobi_eigenvalues(a):
 
 # --- covariance building blocks ------------------------------------------
 
-def _covariance_parts(frame, ddof=0):
-    n = frame.n
+def _covariance_parts(c, r, ddof=0):
+    n = c.shape[0]
     if n - ddof <= 0:
         raise DataValidationError("not enough rows for the requested divisor")
-    c, r = frame.centres_ranges()
     cc = c - c.mean(axis=0)
     rc = r - r.mean(axis=0)
     denom = float(n - ddof)
@@ -132,9 +131,9 @@ def frechet_variance(frame):
     """Trace form of the Frechet variance: tr(S_CC + Delta S_RR + S_CR Psi)."""
     if frame.n < 1:
         raise DataValidationError("empty frame")
-    frame.require_latents()
+    c, r = frame.checked_centres_ranges()
     psi, delta = _latent_moments(frame.latents)
-    s_cc, s_rr, s_cr = _covariance_parts(frame, ddof=0)
+    s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=0)
     return math.fsum((np.diag(s_cc) + delta * np.diag(s_rr) + psi * np.diag(s_cr)).tolist())
 
 
@@ -150,9 +149,9 @@ def symbolic_covariance(frame, ddof=0):
     """
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
-    frame.require_latents()
+    c, r = frame.checked_centres_ranges()
     summary = MomentSummary.from_latents(frame.latents)
-    s_cc, s_rr, s_cr = _covariance_parts(frame, ddof=ddof)
+    s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=ddof)
     # S_CR Psi plus its transpose as one term keeps Sigma_B exactly symmetric
     mean_cross = s_cr * summary.psi
     sigma = s_cc + 0.25 * (summary.euu * s_rr) + 0.5 * (mean_cross + mean_cross.T)
@@ -192,8 +191,7 @@ def covariance_quantile_oracle(frame, i, j):
     """
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
-    frame.require_latents()
-    c, r = frame.centres_ranges()
+    c, r = frame.checked_centres_ranges()
     dc = c - c.mean(axis=0)
     dr = 0.5 * (r - r.mean(axis=0))
     half, qi, qj = _oracle_grid(frame.latents[i], frame.latents[j])
@@ -211,9 +209,9 @@ def cov_model7(frame, ddof=0):
     adjustment, Diag(S_RR + rbar rbar') / 24."""
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
-    _, r = frame.centres_ranges()
+    c, r = frame.centres_ranges()
     rbar = r.mean(axis=0)
-    s_cc, s_rr, _ = _covariance_parts(frame, ddof=ddof)
+    s_cc, s_rr, _ = _covariance_parts(c, r, ddof=ddof)
     second = s_rr + np.outer(rbar, rbar)
     return s_cc + np.diag(np.diag(second)) / 24.0
 

@@ -389,15 +389,36 @@ def test_all_zero_range_column_gets_the_degenerate_latent(tmp_path, capsys):
     assert audit["euu"][1] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("argv, text", [
-    (["aggregate", "--microdata"], "g,value,variable\nb,2.0\n"),
-    (["fit", "--method", "kde", "--scaled"], "variable,row,value\nx,r1\n"),
-    (["fit", "--method", "triangular-pearson", "--summaries"],
-     "group,variable,mean,median,min,max\ng,x,0.0,0.1\n"),
-], ids=["microdata", "scaled", "summary"])
-def test_short_csv_row_exits_2_naming_its_line(tmp_path, capsys, argv, text):
-    path = tmp_path / "short.csv"
-    path.write_text(text, encoding="utf-8")
-    code, _, stderr = run_cli(capsys, *argv, str(path), "--out", str(tmp_path / "out"))
+MICRODATA = ["aggregate", "--out", "out.csv", "--microdata"]
+SCALED = ["fit", "--method", "kde", "--out", "out.json", "--scaled"]
+SUMMARY = ["fit", "--method", "triangular-pearson", "--out", "out.json", "--summaries"]
+INTERVALS = ["distance", "--latents", "uniform", "--out", "out.csv", "--intervals"]
+MATRIX = ["compare", "--b", "table.csv", "--a"]
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (MICRODATA, "g,value,variable\nb,2.0\n", "2: row has 2 fields, the header 3"),
+    (SCALED, "variable,row,value\nx,r1\n", "2: row has 2 fields, the header 3"),
+    (SUMMARY, "group,variable,mean,median,min,max\ng,x,0.0,0.1\n",
+     "2: row has 4 fields, the header 6"),
+    (MICRODATA, "g,variable,value\na,x,1.0\nb,x,2.0,9\n", "3: row has 4 fields, the header 3"),
+    (SCALED, "variable,row,value\nx,r1,0.5\n\nx,r2,0.1,9\n",
+     "4: row has 4 fields, the header 3"),
+    (SUMMARY, "group,variable,mean,median,min,max\ng,x,0.0,0.1,-1,1,9\n",
+     "2: row has 7 fields, the header 6"),
+    (INTERVALS, "label,a.lo,a.hi\nr1,1,2\nr2,1\n", "3: row has 2 fields, the header 3"),
+    (INTERVALS, "label,a.lo,a.hi\nr1,1,2,9\nr2,0,3\n", "2: row has 4 fields, the header 3"),
+    (MATRIX, ",a,b\na,0,1\nb,1\n", "3: row has 2 fields, the header 3"),
+    (MATRIX, ",a,b\n, ,\na,0,1,2\nb,1,0\n", "3: row has 4 fields, the header 3"),
+    # the quoted cell spans lines 2 and 3, so the bad row is on line 4
+    (MICRODATA, 'g,variable,value\n"a\nb",x,1.0\nc,x,oops\n', "4: cannot parse value field"),
+], ids=["microdata", "scaled", "summary", "microdata-long", "scaled-long", "summary-long",
+        "intervals-short", "intervals-long", "matrix-short", "matrix-long",
+        "after-multiline-cell"])
+def test_short_csv_row_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, argv, text, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.csv").write_text(text, encoding="utf-8")
+    code, _, stderr = run_cli(capsys, *argv, "table.csv")
     assert code == 2
-    assert json.loads(stderr)["error"]["message"].startswith(f"{path}:2: ")
+    assert json.loads(stderr)["error"]["message"] == f"table.csv:{error}"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()

@@ -12,6 +12,7 @@ from ivda import (
     IntervalFrame,
     Triangular,
     Uniform,
+    covariance_quantile_oracle,
     dist_sq_box,
     dist_sq_general,
     dist_sq_iid,
@@ -25,6 +26,7 @@ from ivda import (
     oracle_dist_sq,
     reduced_vector,
     sample_barycentre,
+    symbolic_covariance,
 )
 from ivda.errors import DomainError, NumericFailure
 from ivda.mallows import _ROW_BLOCK, MomentSummary
@@ -331,6 +333,10 @@ def test_overflowing_distance_raises(latent):
     with pytest.raises(NumericFailure, match="not finite"), \
             np.errstate(over="ignore", invalid="ignore"):
         dist_sq_box(frame.row_box(0), frame.row_box(1))
+    # finite bounds whose range overflows still pass the row check
+    wide = IntervalFrame([[-1e308]], [[1e308]], ("x",), latents=(latent,))
+    with np.errstate(over="ignore"):
+        assert wide.checked_centres_ranges()[1][0, 0] == np.inf
 
 
 def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):
@@ -364,6 +370,7 @@ def test_engine_rejects_invalid_rows(rng, case, message):
         lower[2, 1] = upper[2, 1]
     frame = IntervalFrame(lower, upper, ("a", "b", "c"),
                           latents=(Uniform(), Triangular(0.2), Uniform()))
-    for call in (distance_matrix, sample_barycentre):
+    for call in (distance_matrix, sample_barycentre, symbolic_covariance, frechet_variance,
+                 lambda f: covariance_quantile_oracle(f, 0, 1)):
         with pytest.raises(DomainError, match=f"^row 2, variable b: {message}$"):
             call(frame)
