@@ -8,6 +8,10 @@ files.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric failure. Failures
 emit a machine-readable JSON object on stderr.
+
+Each subcommand imports the library modules it uses when it runs, so one
+process compiles only those: ``aggregate`` never loads the latent, distance
+or covariance code.
 """
 
 from __future__ import annotations
@@ -22,29 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
-from .estimation import fit_beta_mom, fit_kde, fit_triangular_pearson
-from .ingest import (
-    _read_table,
-    aggregate,
-    load_interval_csv,
-    read_microdata_csv,
-    read_scaled_csv,
-    read_summary_csv,
-    write_interval_csv,
-    write_scaled_csv,
-)
-from .interval import Interval
-from .latent import _FAMILIES, Degenerate, latent_from_dict, latent_to_dict
-from .mallows import distance_matrix, iso_distance_set
-from .moments import (
-    correlation_from_cov,
-    correlation_matrix,
-    cov_model7,
-    frobenius_diff,
-    jacobi_eigenvalues,
-    sample_barycentre,
-    symbolic_covariance,
-)
 
 # short names for three families; any other shorthand is a family's tag
 _ALIASES = {"invtriangular": "inverted_triangular", "truncnormal": "truncated_normal",
@@ -57,6 +38,8 @@ def _parse_latent_shorthand(text):
     The parameters are the family's fields in order; a kde needs a sample
     file, so it has no shorthand.
     """
+    from .latent import _FAMILIES
+
     name, _, params = text.partition(":")
     name = name.strip().lower()
     family = _ALIASES.get(name, name)
@@ -83,6 +66,8 @@ def _resolve_latents(frame, latents_arg):
     Variables whose ranges are all zero receive the degenerate latent
     automatically, matching the zero-range convention.
     """
+    from .latent import Degenerate, latent_from_dict
+
     path = Path(latents_arg)
     if path.suffix == ".json":
         mapping = json.loads(path.read_text(encoding="utf-8"))
@@ -101,6 +86,8 @@ def _resolve_latents(frame, latents_arg):
 
 
 def _load_valid_frame(path, latents_arg):
+    from .ingest import load_interval_csv
+
     frame = load_interval_csv(path)
     violations = frame.validate()
     if violations:
@@ -119,6 +106,8 @@ def _write_matrix_csv(matrix, names, path):
 
 
 def _read_matrix_csv(path):
+    from .ingest import _read_table
+
     header, rows = _read_table(path)
     matrix = []
     for line, cells in rows:
@@ -145,6 +134,8 @@ def _require(args, *names):
 # --- subcommands ----------------------------------------------------------
 
 def _cmd_aggregate(args):
+    from .ingest import aggregate, read_microdata_csv, write_interval_csv, write_scaled_csv
+
     _require(args, "microdata", "out")
     records = read_microdata_csv(args.microdata)
     result = aggregate(records, trim=args.trim, keep_degenerate=args.keep_degenerate)
@@ -166,6 +157,10 @@ def _cmd_aggregate(args):
 
 
 def _cmd_fit(args):
+    from .estimation import fit_beta_mom, fit_kde, fit_triangular_pearson
+    from .ingest import read_scaled_csv, read_summary_csv
+    from .latent import latent_to_dict
+
     _require(args, "method", "out")
     out = {}
     out_path = Path(args.out)
@@ -212,6 +207,8 @@ def _cmd_fit(args):
 
 
 def _cmd_distance(args):
+    from .mallows import distance_matrix
+
     _require(args, "intervals", "latents", "out")
     frame = _load_valid_frame(args.intervals, args.latents)
     matrix = distance_matrix(frame, threads=args.threads)
@@ -222,6 +219,9 @@ def _cmd_distance(args):
 
 
 def _cmd_barycentre(args):
+    from .ingest import write_interval_csv
+    from .moments import sample_barycentre
+
     _require(args, "intervals", "latents")
     frame = _load_valid_frame(args.intervals, args.latents)
     bary = sample_barycentre(frame)
@@ -238,6 +238,14 @@ def _cmd_barycentre(args):
 
 
 def _cmd_covariance(args, correlation=False):
+    from .moments import (
+        correlation_from_cov,
+        correlation_matrix,
+        cov_model7,
+        jacobi_eigenvalues,
+        symbolic_covariance,
+    )
+
     _require(args, "intervals", "latents", "out")
     frame = _load_valid_frame(args.intervals, args.latents)
     ddof = 1 if args.ddof1 else 0
@@ -269,6 +277,8 @@ def _cmd_covariance(args, correlation=False):
 
 
 def _cmd_compare(args):
+    from .moments import frobenius_diff
+
     _require(args, "a", "b")
     m1, _ = _read_matrix_csv(args.a)
     m2, _ = _read_matrix_csv(args.b)
@@ -278,6 +288,9 @@ def _cmd_compare(args):
 
 
 def _cmd_ellipse(args):
+    from .interval import Interval
+    from .mallows import iso_distance_set
+
     _require(args, "x0", "delta", "out")
     try:
         lo, hi = (float(v) for v in args.x0.split(","))
@@ -296,6 +309,8 @@ def _cmd_ellipse(args):
 
 
 def _cmd_pairs_data(args):
+    from .moments import sample_barycentre
+
     _require(args, "intervals", "latents", "out")
     frame = _load_valid_frame(args.intervals, args.latents)
     bary = sample_barycentre(frame)

@@ -15,13 +15,10 @@ import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
 from .latent import Kde, ShiftedBeta, Triangular
-from .mallows import MomentSummary
 
 __all__ = [
-    "ScaledSample",
     "ModeEstimates",
     "VariableMicrodata",
-    "scale_to_latent",
     "fit_beta_mom",
     "fit_kde",
     "estimate_modes_pearson",
@@ -29,47 +26,6 @@ __all__ = [
     "fit_triangular_pearson",
     "empirical_moment_summary",
 ]
-
-
-@dataclass(frozen=True)
-class ScaledSample:
-    """Microdata of one variable mapped onto [-1, 1], with row provenance."""
-
-    variable: str
-    values: np.ndarray
-    rows: tuple | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.size and (np.any(values < -1.0 - 1e-9)
-                            or np.any(values > 1.0 + 1e-9)
-                            or np.any(~np.isfinite(values))):
-            raise DataValidationError(
-                f"scaled values for {self.variable!r} must lie in [-1, 1]")
-        object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
-        if self.rows is not None and len(self.rows) != values.size:
-            raise DomainError("provenance length must match the number of values")
-
-
-def scale_to_latent(values, interval):
-    """Map raw microdata v inside ``interval`` to u = 2 (v - c) / r.
-
-    Values may poke out of the interval by at most 1e-9 * max(1, range)
-    (they are clamped back); anything further out is reported as a
-    violation. A zero-range interval cannot be scaled.
-    """
-    values = np.asarray(values, dtype=float)
-    r = interval.range
-    if r == 0.0:
-        raise DomainError("cannot scale values inside a zero-range interval")
-    tol = 1e-9 * max(1.0, r)
-    bad = np.flatnonzero((values < interval.lower - tol) | (values > interval.upper + tol))
-    if bad.size:
-        shown = ", ".join(f"[{k}]={values[k]!r}" for k in bad[:5])
-        raise DataValidationError(
-            f"{bad.size} value(s) outside [{interval.lower}, {interval.upper}]: {shown}")
-    u = 2.0 * (values - interval.centre) / r
-    return np.clip(u, -1.0, 1.0)
 
 
 def fit_beta_mom(u_samples):
@@ -212,6 +168,9 @@ class VariableMicrodata:
 
 def empirical_moment_summary(variables):
     """Latent moment summary from per-variable fits and/or scaled samples."""
+    # imported here: no fit needs the distance module
+    from .mallows import MomentSummary
+
     variables = list(variables)
     if not variables:
         raise DomainError("no variables given")

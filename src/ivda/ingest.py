@@ -2,8 +2,9 @@
 
 Microdata arrive as (group key, variable, value) records; aggregation trims
 a fixed count from each tail of every cell and takes the min/max of what
-remains. Cells left with zero range are dropped (with their whole row, to
-keep the frame rectangular) and reported. Interval datasets round-trip
+remains, and maps the kept values onto the latent scale [-1, 1]
+(``scale_to_latent``). Cells left with zero range are dropped (with their
+whole row, to keep the frame rectangular) and reported. Interval datasets round-trip
 through CSV losslessly. Every CSV reader takes its rows from ``_read_table``,
 so one rule decides what a well-formed row is.
 """
@@ -18,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError, DomainError
-from .estimation import ScaledSample, scale_to_latent
 from .interval import Interval, IntervalFrame
 
 __all__ = [
     "MicroRecord",
+    "ScaledSample",
+    "scale_to_latent",
     "AggregationReport",
     "AggregateResult",
     "aggregate",
@@ -49,6 +51,47 @@ class MicroRecord:
             raise DomainError("record key must be a non-empty tuple of non-empty strings")
         if not math.isfinite(self.value):
             raise DomainError(f"non-finite value for {self.key}/{self.variable}")
+
+
+@dataclass(frozen=True)
+class ScaledSample:
+    """Microdata of one variable mapped onto [-1, 1], with row provenance."""
+
+    variable: str
+    values: np.ndarray
+    rows: tuple | None = None
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.size and (np.any(values < -1.0 - 1e-9)
+                            or np.any(values > 1.0 + 1e-9)
+                            or np.any(~np.isfinite(values))):
+            raise DataValidationError(
+                f"scaled values for {self.variable!r} must lie in [-1, 1]")
+        object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
+        if self.rows is not None and len(self.rows) != values.size:
+            raise DomainError("provenance length must match the number of values")
+
+
+def scale_to_latent(values, interval):
+    """Map raw microdata v inside ``interval`` to u = 2 (v - c) / r.
+
+    Values may poke out of the interval by at most 1e-9 * max(1, range)
+    (they are clamped back); anything further out is reported as a
+    violation. A zero-range interval cannot be scaled.
+    """
+    values = np.asarray(values, dtype=float)
+    r = interval.range
+    if r == 0.0:
+        raise DomainError("cannot scale values inside a zero-range interval")
+    tol = 1e-9 * max(1.0, r)
+    bad = np.flatnonzero((values < interval.lower - tol) | (values > interval.upper + tol))
+    if bad.size:
+        shown = ", ".join(f"[{k}]={values[k]!r}" for k in bad[:5])
+        raise DataValidationError(
+            f"{bad.size} value(s) outside [{interval.lower}, {interval.upper}]: {shown}")
+    u = 2.0 * (values - interval.centre) / r
+    return np.clip(u, -1.0, 1.0)
 
 
 @dataclass
@@ -172,11 +215,22 @@ def _read_table(path):
     return header, rows
 
 
+def _refuse_repeated(names, path):
+    # a column named twice would be read from one copy and the other dropped;
+    # only a table's own header can tell (a matrix header repeats row labels)
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataValidationError(f"{path}: the header names column {name!r} twice")
+        seen.add(name)
+
+
 def read_microdata_csv(path):
     """Read records from a CSV with columns group1[,group2,...],variable,value."""
     path = Path(path)
     header, rows = _read_table(path)
     header = [h.strip() for h in header]
+    _refuse_repeated(header, path)
     try:
         var_col = header.index("variable")
         val_col = header.index("value")
@@ -209,6 +263,7 @@ def read_summary_csv(path):
     """
     path = Path(path)
     header, rows = _read_table(path)
+    _refuse_repeated(header, path)
     required = {"group", "variable", "mean", "median", "min", "max"}
     if not required.issubset(header):
         raise DataValidationError(
@@ -229,6 +284,7 @@ _SUFFIXES = ((".lo", ".hi"), (".c", ".r"))
 
 
 def _parse_interval_header(header, path):
+    _refuse_repeated([h.strip() for h in header], path)
     pairs = []          # (name, mode, lo_idx, hi_idx)
     seen = {}
     label_col = None
@@ -351,6 +407,7 @@ def read_scaled_csv(path):
     """Read long-form scaled microdata back into ScaledSample objects."""
     path = Path(path)
     header, rows = _read_table(path)
+    _refuse_repeated(header, path)
     required = {"variable", "row", "value"}
     if not required.issubset(header):
         raise DataValidationError(

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataValidationError, DomainError
-from .latent import Degenerate, LatentDistribution
 
 __all__ = ["Interval", "Box", "IntervalFrame", "Violation"]
 
@@ -57,6 +57,9 @@ class Box:
     latents: tuple
 
     def __post_init__(self):
+        # imported here: reading and writing frames never needs the latents
+        from .latent import Degenerate, LatentDistribution
+
         object.__setattr__(self, "intervals", tuple(self.intervals))
         object.__setattr__(self, "latents", tuple(self.latents))
         if len(self.intervals) < 1:
@@ -190,13 +193,24 @@ class IntervalFrame:
                           for j in range(self.p))
         return Box(intervals, self.latents)
 
-    def checked_centres_ranges(self):
+    @cached_property
+    def _degenerate(self):
+        # which columns carry the degenerate latent, found once per frame
+        from .latent import Degenerate
+
+        return np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
+
+    def checked_centres_ranges(self, latents=True):
         """``centres_ranges`` of a frame whose every row would pass
         ``row_box``; the first row that would not raises a DomainError
-        naming the row and the variable."""
-        self.require_latents()
+        naming the row and the variable. ``latents=False`` checks the bounds
+        alone, for an estimator that reads no latent: any range may be zero."""
+        if latents:
+            self.require_latents()
+            degenerate = self._degenerate
+        else:
+            degenerate = np.ones(self.p, dtype=bool)
         c, r = self.centres_ranges()
-        degenerate = np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
         # one pass when every range is finite and positive, or zero on a
         # degenerate latent (NaN fails every comparison); else find the first
         # failure below, where a finite range that overflowed to inf passes
@@ -240,10 +254,9 @@ class IntervalFrame:
             if has_zero and has_positive:
                 out.append(Violation("mixed-zero-range", None, j,
                                      f"variable {self.names[j]} mixes zero and positive ranges"))
-            lat = self.latents[j]
-            if lat is None:
+            if self.latents[j] is None:
                 continue
-            degenerate_latent = isinstance(lat, Degenerate)
+            degenerate_latent = self._degenerate[j]
             if has_zero and not has_positive and not degenerate_latent:
                 out.append(Violation("degenerate-latent-mismatch", None, j,
                                      f"zero-range variable {self.names[j]} must use the degenerate latent"))

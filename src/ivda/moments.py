@@ -206,10 +206,11 @@ def covariance_quantile_oracle(frame, i, j):
 
 def cov_model7(frame, ddof=0):
     """Comparison estimator: centre covariances plus a diagonal range
-    adjustment, Diag(S_RR + rbar rbar') / 24."""
+    adjustment, Diag(S_RR + rbar rbar') / 24. It reads no latent, so only
+    the bounds are checked."""
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
-    c, r = frame.centres_ranges()
+    c, r = frame.checked_centres_ranges(latents=False)
     rbar = r.mean(axis=0)
     s_cc, s_rr, _ = _covariance_parts(c, r, ddof=ddof)
     second = s_rr + np.outer(rbar, rbar)

@@ -186,6 +186,17 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     assert payload["error"]["violations"]
 
 
+def test_repeated_header_column_exits_2(tmp_path, capsys):
+    path = tmp_path / "iv.csv"
+    path.write_text(" label,a.lo,a.hi,a.lo ,a.hi\nr1,1,2,3,4\nr2,0,5,1,6\n",
+                    encoding="utf-8")
+    code, _, stderr = run_cli(capsys, "distance", "--intervals", str(path),
+                              "--latents", "uniform", "--out", str(tmp_path / "d.csv"))
+    assert code == 2
+    assert "names column 'a.lo' twice" in json.loads(stderr)["error"]["message"]
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_numeric_failure_exits_3(tmp_path, capsys):
     scaled = tmp_path / "scaled.csv"
     # two-point +-1 sample violates the beta moment condition

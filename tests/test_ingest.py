@@ -7,6 +7,7 @@ from ivda import (
     load_interval_csv,
     read_microdata_csv,
     read_scaled_csv,
+    read_summary_csv,
     write_interval_csv,
     write_scaled_csv,
 )
@@ -165,6 +166,21 @@ def test_microdata_csv_header_errors(tmp_path):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(DataValidationError):
         read_microdata_csv(path)
+
+
+# each reader's header code, since a matrix header may repeat its row labels
+@pytest.mark.parametrize("reader, text, column", [
+    (load_interval_csv, "label,a.lo,a.hi,a.lo,a.hi\nr1,1,2,3,4\n", "a.lo"),
+    (read_microdata_csv, "g,variable,value,value\nx,v,1,5\n", "value"),
+    (read_scaled_csv, "variable,row,value,row\nx,r1,0.5,r2\n", "row"),
+    (read_summary_csv, "group,variable,mean,median,min,max,mean\n"
+                       "t,x,0,0,-1,1,0.5\n", "mean"),
+], ids=["interval", "microdata", "scaled", "summary"])
+def test_reader_refuses_a_repeated_column(tmp_path, reader, text, column):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataValidationError, match=f"names column '{column}' twice"):
+        reader(path)
 
 
 def test_scaled_csv_roundtrip(tmp_path):

@@ -12,6 +12,7 @@ from ivda import (
     IntervalFrame,
     Triangular,
     Uniform,
+    cov_model7,
     covariance_quantile_oracle,
     dist_sq_box,
     dist_sq_general,
@@ -370,7 +371,13 @@ def test_engine_rejects_invalid_rows(rng, case, message):
         lower[2, 1] = upper[2, 1]
     frame = IntervalFrame(lower, upper, ("a", "b", "c"),
                           latents=(Uniform(), Triangular(0.2), Uniform()))
-    for call in (distance_matrix, sample_barycentre, symbolic_covariance, frechet_variance,
-                 lambda f: covariance_quantile_oracle(f, 0, 1)):
+    calls = [distance_matrix, sample_barycentre, symbolic_covariance, frechet_variance,
+             lambda f: covariance_quantile_oracle(f, 0, 1)]
+    if case == "zero range":
+        # model 7 reads no latent, so a zero range is no error there
+        assert np.all(np.isfinite(cov_model7(frame)))
+    else:
+        calls.append(cov_model7)
+    for call in calls:
         with pytest.raises(DomainError, match=f"^row 2, variable b: {message}$"):
             call(frame)
