@@ -86,15 +86,17 @@ def _resolve_latents(frame, latents_arg):
 
 
 def _load_valid_frame(path, latents_arg):
+    # validated with its latents, so a latent that does not match its
+    # ranges exits 2 like a bad bound
     from .ingest import load_interval_csv
 
-    frame = load_interval_csv(path)
+    frame = _resolve_latents(load_interval_csv(path), latents_arg)
     violations = frame.validate()
     if violations:
         raise DataValidationError(
             f"{path}: {len(violations)} validation violation(s)",
             violations=[v.__dict__ for v in violations])
-    return _resolve_latents(frame, latents_arg)
+    return frame
 
 
 def _write_matrix_csv(matrix, names, path):

@@ -280,45 +280,38 @@ def read_summary_csv(path):
     return out
 
 
-_SUFFIXES = ((".lo", ".hi"), (".c", ".r"))
+# each column suffix: its encoding (0 bounds, 1 centre and range) and its slot
+_SUFFIXES = {".lo": (0, 1), ".hi": (0, 2), ".c": (1, 1), ".r": (1, 2)}
 
 
 def _parse_interval_header(header, path):
     _refuse_repeated([h.strip() for h in header], path)
-    pairs = []          # (name, mode, lo_idx, hi_idx)
-    seen = {}
+    seen = {}           # name -> [mode, first column, second column]
     label_col = None
     for idx, raw in enumerate(header):
         col = raw.strip()
-        matched = False
-        for mode, (lo_sfx, hi_sfx) in enumerate(_SUFFIXES):
-            for pos, sfx in enumerate((lo_sfx, hi_sfx)):
-                if col.endswith(sfx):
-                    name = col[:-len(sfx)]
-                    entry = seen.setdefault(name, [mode, None, None])
-                    if entry[0] != mode:
-                        raise DataValidationError(
-                            f"{path}: variable {name!r} mixes column encodings")
-                    entry[1 + pos] = idx
-                    matched = True
-                    break
-            if matched:
-                break
-        if not matched:
-            if idx == 0 and label_col is None:
-                label_col = idx
-            else:
+        sfx = next((sfx for sfx in _SUFFIXES if col.endswith(sfx)), None)
+        if sfx is None:
+            if idx != 0:
                 raise DataValidationError(
                     f"{path}: unrecognized column {col!r} (expected .lo/.hi or .c/.r)")
-    for name, (mode, lo_idx, hi_idx) in seen.items():
-        if lo_idx is None or hi_idx is None:
+            label_col = idx
+            continue
+        mode, slot = _SUFFIXES[sfx]
+        name = col[:-len(sfx)]
+        entry = seen.setdefault(name, [mode, None, None])
+        if entry[0] != mode:
+            raise DataValidationError(f"{path}: variable {name!r} mixes column encodings")
+        entry[slot] = idx
+    for name, (_, first, second) in seen.items():
+        if first is None or second is None:
             raise DataValidationError(
                 f"{path}: variable {name!r} is missing its paired column")
-        pairs.append((name, mode, lo_idx, hi_idx))
-    pairs.sort(key=lambda item: item[2])
-    if not pairs:
+    if not seen:
         raise DataValidationError(f"{path}: no interval columns found")
-    return label_col, pairs
+    # (name, mode, first column, second column), in the order of the first
+    return label_col, sorted(((name, *entry) for name, entry in seen.items()),
+                             key=lambda item: item[2])
 
 
 def load_interval_csv(path):
@@ -334,29 +327,17 @@ def load_interval_csv(path):
     label_col, pairs = _parse_interval_header(header, path)
     if not rows:
         raise DataValidationError(f"{path}: no data rows")
-    lower_rows = []
-    upper_rows = []
-    for line, row in rows:
-        lo_row = []
-        hi_row = []
-        for name, mode, i1, i2 in pairs:
+    lower, upper = np.empty((len(rows), len(pairs))), np.empty((len(rows), len(pairs)))
+    for i, (line, row) in enumerate(rows):
+        for j, (name, mode, i1, i2) in enumerate(pairs):
             try:
-                v1 = float(row[i1])
-                v2 = float(row[i2])
+                v1, v2 = float(row[i1]), float(row[i2])
             except ValueError:
                 raise DataValidationError(
                     f"{path}:{line}: cannot parse variable {name!r}") from None
-            if mode == 0:
-                lo, hi = v1, v2
-            else:
-                lo, hi = v1 - 0.5 * v2, v1 + 0.5 * v2
-            lo_row.append(lo)
-            hi_row.append(hi)
-        lower_rows.append(lo_row)
-        upper_rows.append(hi_row)
+            lower[i, j], upper[i, j] = (v1, v2) if mode == 0 else (v1 - 0.5 * v2, v1 + 0.5 * v2)
     labels = None if label_col is None else [row[label_col] for _, row in rows]
-    names = [name for name, *_ in pairs]
-    return IntervalFrame(lower_rows, upper_rows, names, labels=labels)
+    return IntervalFrame(lower, upper, [name for name, *_ in pairs], labels=labels)
 
 
 def write_interval_csv(frame, path, mode="bounds"):
@@ -365,28 +346,19 @@ def write_interval_csv(frame, path, mode="bounds"):
     (.c/.r) columns."""
     if mode not in ("bounds", "centre_range"):
         raise DomainError(f"unknown mode {mode!r}")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    if mode == "bounds":
+        suffixes, first, second = (".lo", ".hi"), frame.lower, frame.upper
+    else:
+        suffixes, (first, second) = (".c", ".r"), frame.centres_ranges()
+    labels = frame.labels
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = []
-        if frame.labels is not None:
-            header.append("label")
-        for name in frame.names:
-            if mode == "bounds":
-                header.extend((f"{name}.lo", f"{name}.hi"))
-            else:
-                header.extend((f"{name}.c", f"{name}.r"))
-        writer.writerow(header)
-        c, r = frame.centres_ranges()
+        writer.writerow((["label"] if labels is not None else [])
+                        + [name + sfx for name in frame.names for sfx in suffixes])
         for i in range(frame.n):
-            row = []
-            if frame.labels is not None:
-                row.append(frame.labels[i])
+            row = [labels[i]] if labels is not None else []
             for j in range(frame.p):
-                if mode == "bounds":
-                    row.extend((repr(float(frame.lower[i, j])), repr(float(frame.upper[i, j]))))
-                else:
-                    row.extend((repr(float(c[i, j])), repr(float(r[i, j]))))
+                row.extend((repr(float(first[i, j])), repr(float(second[i, j]))))
             writer.writerow(row)
 
 

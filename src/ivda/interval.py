@@ -20,6 +20,23 @@ from .errors import DataValidationError, DomainError
 __all__ = ["Interval", "Box", "IntervalFrame", "Violation"]
 
 
+# what a range that does not match its latent breaks, by whether the latent
+# is degenerate
+_MISMATCH = ("zero range and must use the degenerate latent",
+             "a positive range but a degenerate latent")
+
+
+def _cell_faults(lower, upper, ranges, degenerate):
+    """The frame rule: (n, p) masks of the cells with a non-finite bound,
+    else lower > upper, else a range that is not zero exactly when the
+    column's latent is ``Degenerate`` (``degenerate`` marks those columns).
+    A finite range that overflows to inf counts as positive."""
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    crossed = finite & (lower > upper)
+    mismatch = finite & ~crossed & ((ranges == 0.0) != degenerate)
+    return ~finite, crossed, mismatch
+
+
 @dataclass(frozen=True)
 class Interval:
     """A real closed bounded interval [lower, upper]."""
@@ -51,7 +68,11 @@ class Interval:
 
 @dataclass(frozen=True)
 class Box:
-    """A hyperrectangle: p intervals plus the latent weight per dimension."""
+    """A hyperrectangle: p intervals plus the latent weight per dimension.
+
+    Each dimension obeys the frame rule: its range is zero exactly when its
+    latent is ``Degenerate``, else the Box raises a DomainError.
+    """
 
     intervals: tuple
     latents: tuple
@@ -71,9 +92,12 @@ class Box:
                 raise DomainError(f"dimension {i} is not an Interval")
             if not isinstance(lat, LatentDistribution):
                 raise DomainError(f"dimension {i} has no latent distribution")
-            if iv.range == 0.0 and not isinstance(lat, Degenerate):
-                raise DomainError(
-                    f"dimension {i} has zero range and must use the degenerate latent")
+            # one numpy-scalar comparison per dimension keeps a Box cheap
+            if isinstance(lat, Degenerate):
+                if iv.range != 0.0:
+                    raise DomainError(f"dimension {i}: {_MISMATCH[1]}")
+            elif iv.range == 0.0:
+                raise DomainError(f"dimension {i}: {_MISMATCH[0]}")
 
     @property
     def p(self):
@@ -107,7 +131,10 @@ class IntervalFrame:
 
     Bounds are stored as raw (n, p) arrays so malformed input can be loaded
     and audited; use ``validate`` before trusting a frame. Latents may be
-    left unset (None) until a fitting step resolves them.
+    left unset (None) until a fitting step resolves them. The frame rule:
+    every bound is finite, lower <= upper, and a range is zero exactly when
+    its variable's latent is ``Degenerate``. Every engine refuses a frame
+    that breaks it.
     """
 
     def __init__(self, lower, upper, names, latents=None, labels=None):
@@ -201,66 +228,62 @@ class IntervalFrame:
         return np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
 
     def checked_centres_ranges(self, latents=True):
-        """``centres_ranges`` of a frame whose every row would pass
-        ``row_box``; the first row that would not raises a DomainError
-        naming the row and the variable. ``latents=False`` checks the bounds
-        alone, for an estimator that reads no latent: any range may be zero."""
+        """``centres_ranges`` of a valid frame: finite, ordered bounds, and
+        ranges zero exactly on a ``Degenerate`` latent, as ``row_box`` and
+        ``validate`` require. The first bad cell raises a DomainError naming
+        its row and variable. ``latents=False`` checks the bounds alone, for
+        an estimator that reads no latent: any range may be zero."""
         if latents:
             self.require_latents()
-            degenerate = self._degenerate
-        else:
-            degenerate = np.ones(self.p, dtype=bool)
         c, r = self.centres_ranges()
-        # one pass when every range is finite and positive, or zero on a
-        # degenerate latent (NaN fails every comparison); else find the first
-        # failure below, where a finite range that overflowed to inf passes
-        if np.all(((r > 0.0) & (r < np.inf)) | ((r == 0.0) & degenerate)):
+        # one pass suffices when every range is finite, and zero exactly on a
+        # degenerate latent (NaN fails every comparison); else the rule finds
+        # the first bad cell, and passes a finite range that overflowed to inf
+        ok = (r > 0.0) & (r < np.inf)
+        ok = np.where(self._degenerate, r == 0.0, ok) if latents else ok | (r == 0.0)
+        if ok.all():
             return c, r
-
-        def refuse(bad, what):
+        faults = _cell_faults(self._lower, self._upper, r, self._degenerate)
+        for bad, what in zip(faults[:3 if latents else 2],
+                             ("a non-finite bound", "lower > upper", None)):
             if np.any(bad):
                 i, j = np.argwhere(bad)[0]
+                what = what or _MISMATCH[int(self._degenerate[j])]
                 raise DomainError(f"row {i}, variable {self.names[j]}: {what}")
-
-        refuse(~(np.isfinite(self._lower) & np.isfinite(self._upper)), "a non-finite bound")
-        refuse(self._lower > self._upper, "lower > upper")
-        refuse((r == 0.0) & ~degenerate, "zero range and must use the degenerate latent")
         return c, r
 
     def row_label(self, i):
         return self.labels[i] if self.labels is not None else str(i)
 
     def validate(self):
-        """All broken invariants, as a list of Violations; never raises."""
-        out = []
-        n, p = self._lower.shape
-        finite = np.isfinite(self._lower) & np.isfinite(self._upper)
-        for i in range(n):
-            for j in range(p):
-                if not finite[i, j]:
-                    out.append(Violation("not-finite", i, j,
-                                         f"non-finite bound at row {i}, variable {self.names[j]}"))
-                elif self._lower[i, j] > self._upper[i, j]:
-                    out.append(Violation("order", i, j,
-                                         f"lower > upper at row {i}, variable {self.names[j]}"))
+        """All broken invariants, as a list of Violations; never raises.
+
+        Each cell with a non-finite or crossed bound gives a ``not-finite``
+        or ``order`` Violation, in row order. Then a variable whose valid
+        cells mix zero and positive ranges gives ``mixed-zero-range``, and
+        any other whose latent breaks the frame rule on some cell gives
+        ``degenerate-latent-mismatch``. With every latent set, the list is
+        empty exactly when ``checked_centres_ranges`` passes.
+        """
         ranges = self._upper - self._lower
-        for j in range(p):
-            col_ok = finite[:, j] & (ranges[:, j] >= 0.0)
-            col = ranges[col_ok, j]
-            if col.size == 0:
-                continue
-            has_zero = bool(np.any(col == 0.0))
-            has_positive = bool(np.any(col > 0.0))
-            if has_zero and has_positive:
+        nonfinite, crossed, mismatch = _cell_faults(self._lower, self._upper, ranges,
+                                                   self._degenerate)
+        out = [Violation("not-finite", i, j,
+                         f"non-finite bound at row {i}, variable {self.names[j]}")
+               if nonfinite[i, j] else
+               Violation("order", i, j, f"lower > upper at row {i}, variable {self.names[j]}")
+               for i, j in np.argwhere(nonfinite | crossed).tolist()]
+        valid = ~nonfinite & ~crossed
+        mixed = np.any(valid & (ranges == 0.0), axis=0) & np.any(valid & (ranges > 0.0), axis=0)
+        mismatched = np.any(mismatch, axis=0)
+        for j, name in enumerate(self.names):
+            if mixed[j]:
                 out.append(Violation("mixed-zero-range", None, j,
-                                     f"variable {self.names[j]} mixes zero and positive ranges"))
-            if self.latents[j] is None:
-                continue
-            degenerate_latent = self._degenerate[j]
-            if has_zero and not has_positive and not degenerate_latent:
-                out.append(Violation("degenerate-latent-mismatch", None, j,
-                                     f"zero-range variable {self.names[j]} must use the degenerate latent"))
-            if degenerate_latent and has_positive:
-                out.append(Violation("degenerate-latent-mismatch", None, j,
-                                     f"variable {self.names[j]} has positive ranges but a degenerate latent"))
+                                     f"variable {name} mixes zero and positive ranges"))
+            elif mismatched[j] and self.latents[j] is not None:
+                out.append(Violation(
+                    "degenerate-latent-mismatch", None, j,
+                    f"variable {name} has positive ranges but a degenerate latent"
+                    if self._degenerate[j] else
+                    f"zero-range variable {name} must use the degenerate latent"))
         return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["integrate", "integrate_fixed", "fixed_grid", "gauss_weights"]
+__all__ = ["integrate", "fixed_grid", "gauss_weights"]
 
 _MAX_DEPTH = 24
 
@@ -92,8 +92,3 @@ def fixed_grid(panels, breakpoints=(), a=0.0, b=1.0):
     edges = np.array(sorted(set(grid.tolist())
                             | {float(p) for p in breakpoints if a < p < b}))
     return _panel_nodes(edges)
-
-
-def integrate_fixed(f, a=0.0, b=1.0, panels=256, breakpoints=()):
-    """Non-adaptive composite rule on ``panels`` equal panels plus cuts."""
-    return float(np.sum(_panel_sums(f, *fixed_grid(panels, breakpoints, a, b))))

@@ -11,9 +11,19 @@ from ivda import (
     TruncatedNormal,
     Uniform,
 )
+from ivda.quadrature import fixed_grid, gauss_weights
 
 # np.trapz was renamed in numpy 2.0; the package floor is older
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def fixed_rule(f, panels, breakpoints=()):
+    """The 32-point rule on ``panels`` equal panels of [0, 1], cut again at
+    every breakpoint: a non-adaptive quadrature reference."""
+    half, nodes = fixed_grid(panels, breakpoints)
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return float(np.sum(half * (values @ gauss_weights())))
+
 
 # --- shared random-object builders ----------------------------------------
 

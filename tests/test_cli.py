@@ -197,6 +197,20 @@ def test_repeated_header_column_exits_2(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["distance", "covariance"])
+def test_degenerate_latent_on_positive_ranges_exits_2(tmp_path, capsys, intervals_csv, command):
+    # the latents are attached before the frame is validated
+    out = tmp_path / "out.csv"
+    code, _, stderr = run_cli(capsys, command, "--intervals", intervals_csv,
+                              "--latents", "degenerate", "--out", str(out))
+    assert code == 2
+    violations = json.loads(stderr)["error"]["violations"]
+    assert [(v["rule"], v["column"]) for v in violations] == [
+        ("degenerate-latent-mismatch", j) for j in range(5)]
+    assert "food has positive ranges but a degenerate latent" in violations[0]["message"]
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_3(tmp_path, capsys):
     scaled = tmp_path / "scaled.csv"
     # two-point +-1 sample violates the beta moment condition

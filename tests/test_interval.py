@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ivda import Box, Degenerate, Interval, IntervalFrame, Triangular, Uniform
+from ivda import (
+    Box,
+    Degenerate,
+    Interval,
+    IntervalFrame,
+    InvertedTriangular,
+    Kde,
+    ShiftedBeta,
+    Triangular,
+    TruncatedNormal,
+    Uniform,
+    cov_model7,
+    covariance_quantile_oracle,
+    dist_sq_box,
+    distance_matrix,
+    frechet_variance,
+    sample_barycentre,
+    symbolic_covariance,
+)
 from ivda.errors import DataValidationError, DomainError
 
 
@@ -45,6 +66,13 @@ def test_box_zero_range_requires_degenerate_latent():
         Box((Interval(1.0, 1.0),), (Uniform(),))
     with pytest.raises(DomainError):
         Box((), ())
+
+
+def test_box_positive_range_refuses_the_degenerate_latent():
+    # a degenerate latent would drop the ranges and leave the centres alone
+    with pytest.raises(DomainError, match="dimension 0: a positive range but a degenerate"):
+        dist_sq_box(Box((Interval(0.0, 2.0),), (Degenerate(),)),
+                    Box((Interval(1.0, 5.0),), (Degenerate(),)))
 
 
 def test_box_vector_layout():
@@ -123,3 +151,72 @@ def test_validate_degenerate_latent_with_positive_ranges():
     violations = frame.validate()
     assert [(v.rule, v.column) for v in violations] == [("degenerate-latent-mismatch", 0)]
     assert "positive ranges but a degenerate latent" in violations[0].message
+
+
+def test_validate_mixed_column_reports_the_mix_whatever_its_latent():
+    frame = IntervalFrame([[0.0], [1.0]], [[0.0], [3.0]], ("a",))
+    for latent in (Uniform(), Degenerate()):
+        assert [v.rule for v in frame.with_latents((latent,)).validate()] == ["mixed-zero-range"]
+
+
+# the pool of test_moments' pooled frames: their cross moments are cached once
+_RULE_POOL = (Uniform(), Triangular(0.4), Triangular(-0.7), InvertedTriangular(),
+              TruncatedNormal(0.2), ShiftedBeta(0.44, 2.15),
+              Kde(np.random.default_rng(5).uniform(-1.0, 1.0, size=60)), Degenerate())
+_CELLS = ("positive", "zero", "nan", "inf", "-inf", "crossed")
+
+
+@st.composite
+def _frames_with_bad_cells(draw):
+    """A valid frame over every latent family, then up to three cells set
+    positive, zero, NaN, infinite or crossed."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.integers(1, 3))
+    latents = tuple(draw(st.lists(st.sampled_from(_RULE_POOL), min_size=p, max_size=p)))
+    degenerate = np.array([isinstance(lat, Degenerate) for lat in latents])
+    lower = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-5.0, 5.0)))
+    width = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(0.1, 3.0)))
+    upper = lower + np.where(degenerate, 0.0, width)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, p - 1), st.sampled_from(_CELLS))
+    for i, j, cell in draw(st.lists(cells, max_size=3)):
+        if cell == "positive":
+            upper[i, j] = lower[i, j] + 1.0
+        elif cell == "zero":
+            upper[i, j] = lower[i, j]
+        elif cell == "nan":
+            lower[i, j] = np.nan
+        elif cell == "inf":
+            upper[i, j] = np.inf
+        elif cell == "-inf":
+            lower[i, j] = -np.inf
+        else:
+            lower[i, j] = upper[i, j] + 1.0
+    return IntervalFrame(lower, upper, tuple(f"v{j}" for j in range(p)), latents=latents)
+
+
+def _refuses(call, *args):
+    try:
+        call(*args)
+    except DomainError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_frames_with_bad_cells())
+def test_validate_the_engines_and_row_box_share_one_rule(frame):
+    lower, upper = frame.lower, frame.upper
+    degenerate = np.array([isinstance(lat, Degenerate) for lat in frame.latents])
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_bounds = ~(np.isfinite(lower) & np.isfinite(upper)) | (lower > upper)
+        bad = bad_bounds | ((upper - lower == 0.0) != degenerate)
+        valid = not bad.any()
+        assert (frame.validate() == []) == valid
+        assert _refuses(frame.checked_centres_ranges) != valid
+        for call in (distance_matrix, sample_barycentre, symbolic_covariance,
+                     frechet_variance, lambda f: covariance_quantile_oracle(f, 0, f.p - 1)):
+            assert _refuses(call, frame) != valid
+        # model 7 reads no latent, so only the bounds decide
+        assert _refuses(cov_model7, frame) == bool(bad_bounds.any())
+        refused = [i for i in range(frame.n) if _refuses(frame.row_box, i)]
+        assert refused == np.flatnonzero(bad.any(axis=1)).tolist()

@@ -23,9 +23,9 @@ from ivda import (
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda.latent import _linear_quantile, _merged_knots
-from ivda.quadrature import integrate, integrate_fixed
+from ivda.quadrature import integrate
 
-from conftest import ALL_FAMILIES, make_latent, trapezoid
+from conftest import ALL_FAMILIES, fixed_rule, make_latent, trapezoid
 
 PARAMETRIC = [
     Uniform(),
@@ -176,8 +176,8 @@ def test_knot_merge_is_union1d_bit_for_bit(rng):
 def test_kde_moments_match_per_segment_quadrature(rng):
     for dist in _kde_cases(rng):
         cuts = dist._cdf[1:-1]
-        mean = integrate_fixed(dist._quantile, panels=1, breakpoints=cuts)
-        m2 = integrate_fixed(lambda t: dist._quantile(t) ** 2, panels=1, breakpoints=cuts)
+        mean = fixed_rule(dist._quantile, panels=1, breakpoints=cuts)
+        m2 = fixed_rule(lambda t: dist._quantile(t) ** 2, panels=1, breakpoints=cuts)
         assert dist.mean == pytest.approx(mean, abs=1e-13)
         assert dist.second_moment == pytest.approx(m2, abs=1e-13)
 
@@ -189,8 +189,8 @@ def test_kde_cross_moments_are_closed_and_exact(rng):
         assert cross_moment(d1, d2) == closed
         assert closed == pytest.approx(cross_moment(d1, d2, method="quadrature"), abs=1e-9)
         knots = np.union1d(*(getattr(d, "_cdf", ()) for d in (d1, d2)))
-        segments = integrate_fixed(lambda t: d1._quantile(t) * d2._quantile(t),
-                                   panels=1, breakpoints=knots)
+        segments = fixed_rule(lambda t: d1._quantile(t) * d2._quantile(t),
+                              panels=1, breakpoints=knots)
         assert closed == pytest.approx(segments, abs=1e-13)
     for dist in (k1, k2, k3):
         assert cross_moment(dist, dist) == dist.second_moment
@@ -392,8 +392,8 @@ def test_kde_cross_moments_with_parametric_latents_meet_the_tolerance(rng):
     for k in _kde_cases(rng)[1:]:
         for d in (ShiftedBeta(2.0, 3.0), InvertedTriangular()):
             cells = np.concatenate([k._cdf[1:-1], d.breakpoints(), ends])
-            reference = integrate_fixed(lambda t: k._quantile(t) * d._quantile(t),
-                                        panels=16, breakpoints=cells)
+            reference = fixed_rule(lambda t: k._quantile(t) * d._quantile(t),
+                                   panels=16, breakpoints=cells)
             assert abs(cross_moment(k, d) - reference) <= 1e-9
 
 

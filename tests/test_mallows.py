@@ -358,6 +358,7 @@ def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):
     ("nan lower", "a non-finite bound"),
     ("crossed", "lower > upper"),
     ("zero range", "zero range and must use the degenerate latent"),
+    ("degenerate latent", "a positive range but a degenerate latent"),
 ])
 def test_engine_rejects_invalid_rows(rng, case, message):
     lower, upper = make_interval_arrays(rng, 5, 3)
@@ -367,14 +368,17 @@ def test_engine_rejects_invalid_rows(rng, case, message):
         lower[2, 1] = np.nan
     elif case == "crossed":
         lower[2, 1] = upper[2, 1] + 1.0
-    else:
+    elif case == "zero range":
         lower[2, 1] = upper[2, 1]
-    frame = IntervalFrame(lower, upper, ("a", "b", "c"),
-                          latents=(Uniform(), Triangular(0.2), Uniform()))
+    else:
+        lower[:, 1] = upper[:, 1]
+        lower[2, 1] -= 1.0
+    middle = Degenerate() if case == "degenerate latent" else Triangular(0.2)
+    frame = IntervalFrame(lower, upper, ("a", "b", "c"), latents=(Uniform(), middle, Uniform()))
     calls = [distance_matrix, sample_barycentre, symbolic_covariance, frechet_variance,
              lambda f: covariance_quantile_oracle(f, 0, 1)]
-    if case == "zero range":
-        # model 7 reads no latent, so a zero range is no error there
+    if case in ("zero range", "degenerate latent"):
+        # model 7 reads no latent, so a range that does not match it is no error there
         assert np.all(np.isfinite(cov_model7(frame)))
     else:
         calls.append(cov_model7)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ivda.errors import DomainError
-from ivda.quadrature import _gauss_rule, gauss_weights, integrate, integrate_fixed
+from ivda.quadrature import _gauss_rule, fixed_grid, gauss_weights, integrate
+
+from conftest import fixed_rule
 
 
 def test_polynomial_exactness():
@@ -24,8 +26,8 @@ def test_sqrt_endpoint_behaviour():
 
 
 def test_fixed_panels():
-    assert integrate_fixed(lambda t: t * t, panels=16) == pytest.approx(1.0 / 3.0, abs=1e-14)
-    got = integrate_fixed(lambda t: np.abs(t - 0.5), panels=4, breakpoints=(0.5,))
+    assert fixed_rule(lambda t: t * t, panels=16) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    got = fixed_rule(lambda t: np.abs(t - 0.5), panels=4, breakpoints=(0.5,))
     assert got == pytest.approx(0.25, abs=1e-14)
 
 
@@ -33,7 +35,7 @@ def test_bad_interval():
     with pytest.raises(DomainError):
         integrate(lambda t: t, 1.0, 0.0)
     with pytest.raises(DomainError):
-        integrate_fixed(lambda t: t, panels=0)
+        fixed_grid(0)
 
 
 def test_rule_built_on_first_use_is_leggauss_32_bit_for_bit():
