@@ -11,7 +11,8 @@ emit a machine-readable JSON object on stderr.
 
 Each subcommand imports the library modules it uses when it runs, so one
 process compiles only those: ``aggregate`` never loads the latent, distance
-or covariance code.
+or covariance code. numpy, too, is imported only where it is used:
+``aggregate`` runs without it, and every other subcommand loads it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import json
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DataValidationError, DomainError, NumericFailure
 
@@ -66,6 +65,8 @@ def _resolve_latents(frame, latents_arg):
     Variables whose ranges are all zero receive the degenerate latent
     automatically, matching the zero-range convention.
     """
+    import numpy as np
+
     from .latent import Degenerate, latent_from_dict
 
     path = Path(latents_arg)
@@ -100,6 +101,8 @@ def _load_valid_frame(path, latents_arg):
 
 
 def _write_matrix_csv(matrix, names, path):
+    import numpy as np
+
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["", *names])
@@ -108,6 +111,8 @@ def _write_matrix_csv(matrix, names, path):
 
 
 def _read_matrix_csv(path):
+    import numpy as np
+
     from .ingest import _read_table
 
     header, rows = _read_table(path)
@@ -136,29 +141,32 @@ def _require(args, *names):
 # --- subcommands ----------------------------------------------------------
 
 def _cmd_aggregate(args):
-    from .ingest import aggregate, read_microdata_csv, write_interval_csv, write_scaled_csv
+    # the CSVs come from aggregate's plain floats, so this stage loads no numpy
+    from .ingest import _write_intervals, _write_scaled, aggregate, read_microdata_csv
 
     _require(args, "microdata", "out")
     records = read_microdata_csv(args.microdata)
     result = aggregate(records, trim=args.trim, keep_degenerate=args.keep_degenerate)
-    write_interval_csv(result.frame, args.out)
+    _write_intervals(args.out, result.names, result.labels, result.lower, result.upper)
     if args.scaled_out:
-        write_scaled_csv(result.scaled, args.scaled_out)
+        _write_scaled(args.scaled_out, result.samples)
     if args.report_out:
         report = {
-            "rows_kept": result.frame.n,
+            "rows_kept": len(result.labels),
             "dropped_rows": [{"row": label, "reasons": reasons}
                              for label, reasons in result.report.dropped_rows],
             "trim": args.trim,
         }
         Path(args.report_out).write_text(json.dumps(report, sort_keys=True, indent=2),
                                          encoding="utf-8")
-    _emit({"rows": result.frame.n, "variables": list(result.frame.names),
+    _emit({"rows": len(result.labels), "variables": list(result.names),
            "dropped": len(result.report.dropped_rows)})
     return 0
 
 
 def _cmd_fit(args):
+    import numpy as np
+
     from .estimation import fit_beta_mom, fit_kde, fit_triangular_pearson
     from .ingest import read_scaled_csv, read_summary_csv
     from .latent import latent_to_dict

@@ -7,6 +7,12 @@ remains, and maps the kept values onto the latent scale [-1, 1]
 whole row, to keep the frame rectangular) and reported. Interval datasets round-trip
 through CSV losslessly. Every CSV reader takes its rows from ``_read_table``,
 so one rule decides what a well-formed row is.
+
+Reading microdata, ``aggregate`` and the CSV writers' number format run on
+plain floats, so the ``aggregate`` command never loads numpy. numpy (and
+``ivda.interval``) load on first use: in ``ScaledSample``, ``scale_to_latent``,
+the interval and scaled-sample readers and writers, ``read_summary_csv``, and
+the ``frame`` and ``scaled`` of an ``AggregateResult``.
 """
 
 from __future__ import annotations
@@ -14,12 +20,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataValidationError, DomainError
-from .interval import Interval, IntervalFrame
 
 __all__ = [
     "MicroRecord",
@@ -36,41 +41,83 @@ __all__ = [
     "read_scaled_csv",
 ]
 
+_KEY_RULE = "record key must be a non-empty tuple of non-empty strings"
+
 
 @dataclass(frozen=True)
 class MicroRecord:
-    """One microdata point: a group key, a variable name, and a value."""
+    """One microdata point: a group key, a variable name, and a value.
+
+    The key must be a non-empty tuple, whose items are stored as
+    non-empty strings; any other key, a ``str`` included, raises a
+    DomainError, as does a non-finite value.
+    """
 
     key: tuple
     variable: str
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "key", tuple(str(k) for k in self.key))
-        if not self.key or any(k == "" for k in self.key):
-            raise DomainError("record key must be a non-empty tuple of non-empty strings")
+        key = self.key
+        if not isinstance(key, tuple):
+            # tuple("AA") would split the label into its characters
+            raise DomainError(_KEY_RULE)
+        if type(key) is not tuple or not all(type(k) is str for k in key):
+            key = tuple(map(str, key))
+            object.__setattr__(self, "key", key)
+        if not key or "" in key:
+            raise DomainError(_KEY_RULE)
         if not math.isfinite(self.value):
-            raise DomainError(f"non-finite value for {self.key}/{self.variable}")
+            raise DomainError(f"non-finite value for {key}/{self.variable}")
+
+
+def _check_scaled(variable, values):
+    # NaN fails both comparisons
+    if not all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in values):
+        raise DataValidationError(f"scaled values for {variable!r} must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
 class ScaledSample:
-    """Microdata of one variable mapped onto [-1, 1], with row provenance."""
+    """Microdata of one variable mapped onto [-1, 1], with row provenance.
+
+    Every value must be finite and within 1e-9 of [-1, 1]; it is clamped
+    into [-1, 1].
+    """
 
     variable: str
     values: np.ndarray
     rows: tuple | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.asarray(self.values, dtype=float)
-        if values.size and (np.any(values < -1.0 - 1e-9)
-                            or np.any(values > 1.0 + 1e-9)
-                            or np.any(~np.isfinite(values))):
-            raise DataValidationError(
-                f"scaled values for {self.variable!r} must lie in [-1, 1]")
+        _check_scaled(self.variable, values.ravel().tolist())
         object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
         if self.rows is not None and len(self.rows) != values.size:
             raise DomainError("provenance length must match the number of values")
+
+
+def _scale(values, lower, upper):
+    """The floats u = 2 (v - c) / r, clamped to [-1, 1], of the floats
+    ``values`` inside [lower, upper]: ``scale_to_latent`` on plain floats.
+    Each step is one IEEE operation, as in numpy, so both give the same
+    bits."""
+    r = upper - lower
+    if r == 0.0:
+        raise DomainError("cannot scale values inside a zero-range interval")
+    tol = 1e-9 * max(1.0, r)
+    least, most = lower - tol, upper + tol
+    bad = [k for k, v in enumerate(values) if v < least or v > most]
+    if bad:
+        shown = ", ".join(f"[{k}]={values[k]!r}" for k in bad[:5])
+        raise DataValidationError(
+            f"{len(bad)} value(s) outside [{lower}, {upper}]: {shown}")
+    c = 0.5 * (lower + upper)
+    # NaN, from an overflowed range, passes the clamp, as through np.clip
+    return [-1.0 if u < -1.0 else 1.0 if u > 1.0 else u
+            for u in [2.0 * (v - c) / r for v in values]]
 
 
 def scale_to_latent(values, interval):
@@ -80,18 +127,11 @@ def scale_to_latent(values, interval):
     (they are clamped back); anything further out is reported as a
     violation. A zero-range interval cannot be scaled.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
-    r = interval.range
-    if r == 0.0:
-        raise DomainError("cannot scale values inside a zero-range interval")
-    tol = 1e-9 * max(1.0, r)
-    bad = np.flatnonzero((values < interval.lower - tol) | (values > interval.upper + tol))
-    if bad.size:
-        shown = ", ".join(f"[{k}]={values[k]!r}" for k in bad[:5])
-        raise DataValidationError(
-            f"{bad.size} value(s) outside [{interval.lower}, {interval.upper}]: {shown}")
-    u = 2.0 * (values - interval.centre) / r
-    return np.clip(u, -1.0, 1.0)
+    u = _scale(values.ravel().tolist(), interval.lower, interval.upper)
+    return np.array(u, dtype=float).reshape(values.shape)
 
 
 @dataclass
@@ -103,9 +143,34 @@ class AggregationReport:
 
 @dataclass
 class AggregateResult:
-    frame: IntervalFrame
-    scaled: dict
+    """What ``aggregate`` kept, in plain floats.
+
+    ``lower`` and ``upper`` hold one list of bounds per kept row, in the
+    order of ``labels`` and ``names``; ``samples`` maps each variable with
+    scaled microdata to its (row labels, values). ``frame`` (an
+    ``IntervalFrame``) and ``scaled`` (``ScaledSample``s by variable) are
+    built from them on first read.
+    """
+
+    names: tuple
+    labels: tuple
+    lower: list
+    upper: list
+    samples: dict
     report: AggregationReport
+
+    @cached_property
+    def frame(self):
+        from .interval import IntervalFrame
+
+        return IntervalFrame(self.lower, self.upper, self.names, labels=self.labels)
+
+    @cached_property
+    def scaled(self):
+        import numpy as np
+
+        return {name: ScaledSample(variable=name, values=np.array(values), rows=rows)
+                for name, (rows, values) in self.samples.items()}
 
 
 def _label(key):
@@ -116,12 +181,12 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
     """Aggregate microdata records into an interval frame.
 
     Per (group, variable) cell, the floor(trim * n) smallest and largest
-    values are dropped and the interval is the min/max of the remainder.
-    Rows containing a degenerate (zero-range) or emptied cell are dropped
-    and reported, unless ``keep_degenerate`` is set with trim zero. Scaled
-    microdata for every retained, non-degenerate cell are returned
-    alongside. Output ordering is deterministic: rows sorted by group key,
-    variables sorted by name.
+    values are dropped and the interval is the min/max of the remainder;
+    as trim < 0.5, the remainder is never empty. Rows containing a
+    degenerate (zero-range) or empty cell are dropped and reported, unless
+    ``keep_degenerate`` is set with trim zero. Scaled microdata for every
+    retained, non-degenerate cell are returned alongside. Output ordering
+    is deterministic: rows sorted by group key, variables sorted by name.
     """
     if not (0.0 <= trim < 0.5):
         raise DomainError("trim must lie in [0, 0.5)")
@@ -135,9 +200,8 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
     names = sorted(variables)
     report = AggregationReport()
 
-    keys = sorted(cells)
     kept_rows = []
-    for key in keys:
+    for key in sorted(cells):
         row = cells[key]
         row_out = {}
         drop_reasons = []
@@ -149,9 +213,6 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
             values = sorted(values)
             k = int(trim * len(values))
             rest = values[k:len(values) - k] if k else values
-            if not rest:
-                drop_reasons.append(f"cell {name} emptied by trimming")
-                continue
             lo, hi = rest[0], rest[-1]
             if hi - lo == 0.0 and not (keep_degenerate and trim == 0.0):
                 drop_reasons.append(f"degenerate cell {name} ({lo})")
@@ -160,32 +221,30 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
         if drop_reasons:
             report.dropped_rows.append((_label(key), drop_reasons))
             continue
-        kept_rows.append((key, row_out))
+        kept_rows.append((_label(key), row_out))
 
     if not kept_rows:
         raise DataValidationError("every row was dropped during aggregation",
                                   violations=report.dropped_rows)
 
-    labels = [_label(key) for key, _ in kept_rows]
-    lower = np.array([[row[name][0] for name in names] for _, row in kept_rows])
-    upper = np.array([[row[name][1] for name in names] for _, row in kept_rows])
-    frame = IntervalFrame(lower, upper, names, labels=labels)
-
-    scaled = {}
-    for j, name in enumerate(names):
+    samples = {}
+    for name in names:
         values = []
         rows = []
-        for i, (key, row) in enumerate(kept_rows):
+        for label, row in kept_rows:
             lo, hi, rest = row[name]
             if hi - lo == 0.0:
                 continue
-            values.append(scale_to_latent(rest, Interval(lo, hi)))
-            rows.extend([labels[i]] * len(rest))
+            values += _scale(rest, lo, hi)
+            rows += [label] * len(rest)
         if values:
-            scaled[name] = ScaledSample(variable=name,
-                                        values=np.concatenate(values),
-                                        rows=tuple(rows))
-    return AggregateResult(frame=frame, scaled=scaled, report=report)
+            _check_scaled(name, values)
+            samples[name] = (tuple(rows), values)
+    return AggregateResult(
+        names=tuple(names), labels=tuple(label for label, _ in kept_rows),
+        lower=[[row[name][0] for name in names] for _, row in kept_rows],
+        upper=[[row[name][1] for name in names] for _, row in kept_rows],
+        samples=samples, report=report)
 
 
 # --- CSV formats ----------------------------------------------------------
@@ -215,6 +274,34 @@ def _read_table(path):
     return header, rows
 
 
+def _write_csv(path, header, rows):
+    """Write a CSV table of ``(text cells, numbers)`` rows, each number as
+    its shortest round-trip repr, so that the table reads back losslessly."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([*text, *[repr(float(x)) for x in numbers]] for text, numbers in rows)
+
+
+def _write_intervals(path, names, labels, first, second, suffixes=(".lo", ".hi")):
+    """Write an interval CSV: a label column unless ``labels`` is None, then
+    two columns per variable, from the row lists ``first`` and ``second``."""
+    header = [name + sfx for name in names for sfx in suffixes]
+    if labels is not None:
+        header.insert(0, "label")
+    text = [()] * len(first) if labels is None else [(label,) for label in labels]
+    _write_csv(path, header, ((cells, [x for pair in zip(a, b) for x in pair])
+                              for cells, a, b in zip(text, first, second)))
+
+
+def _write_scaled(path, samples):
+    """Write ``{variable: (row labels, values)}`` as long-form CSV
+    variable,row,value, variables in name order."""
+    _write_csv(path, ["variable", "row", "value"],
+               (((name, row), (value,)) for name in sorted(samples)
+                for row, value in zip(*samples[name])))
+
+
 def _refuse_repeated(names, path):
     # a column named twice would be read from one copy and the other dropped;
     # only a table's own header can tell (a matrix header repeats row labels)
@@ -240,6 +327,8 @@ def read_microdata_csv(path):
     key_cols = [i for i in range(len(header)) if i not in (var_col, val_col)]
     if not key_cols:
         raise DataValidationError(f"{path}: at least one group column is required")
+    # the variable, then the key: a tuple of at least two cells
+    cells_of = itemgetter(var_col, *key_cols)
     records = []
     for line, row in rows:
         try:
@@ -247,9 +336,9 @@ def read_microdata_csv(path):
         except ValueError:
             raise DataValidationError(
                 f"{path}:{line}: cannot parse value field") from None
+        cells = cells_of(row)
         try:
-            records.append(MicroRecord(key=tuple(row[i] for i in key_cols),
-                                       variable=row[var_col], value=value))
+            records.append(MicroRecord(cells[1:], cells[0], value))
         except DomainError as exc:
             raise DataValidationError(f"{path}:{line}: {exc}") from exc
     return records
@@ -261,6 +350,8 @@ def read_summary_csv(path):
     Returns {variable: list of (group, mean, median, Interval)} preserving
     row order within each variable.
     """
+    from .interval import Interval
+
     path = Path(path)
     header, rows = _read_table(path)
     _refuse_repeated(header, path)
@@ -322,6 +413,10 @@ def load_interval_csv(path):
     header. An unsuffixed first column is the row label. Out-of-order
     bounds are loaded as-is and surface through ``IntervalFrame.validate``.
     """
+    import numpy as np
+
+    from .interval import IntervalFrame
+
     path = Path(path)
     header, rows = _read_table(path)
     label_col, pairs = _parse_interval_header(header, path)
@@ -350,33 +445,21 @@ def write_interval_csv(frame, path, mode="bounds"):
         suffixes, first, second = (".lo", ".hi"), frame.lower, frame.upper
     else:
         suffixes, (first, second) = (".c", ".r"), frame.centres_ranges()
-    labels = frame.labels
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((["label"] if labels is not None else [])
-                        + [name + sfx for name in frame.names for sfx in suffixes])
-        for i in range(frame.n):
-            row = [labels[i]] if labels is not None else []
-            for j in range(frame.p):
-                row.extend((repr(float(first[i, j])), repr(float(second[i, j]))))
-            writer.writerow(row)
+    _write_intervals(path, frame.names, frame.labels, first.tolist(), second.tolist(),
+                     suffixes)
 
 
 def write_scaled_csv(scaled, path):
     """Write scaled microdata samples as long-form CSV variable,row,value."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "row", "value"])
-        for name in sorted(scaled):
-            sample = scaled[name]
-            rows = sample.rows if sample.rows is not None else [""] * sample.values.size
-            for row_id, value in zip(rows, sample.values):
-                writer.writerow([name, row_id, repr(float(value))])
+    _write_scaled(path, {name: (sample.rows if sample.rows is not None
+                                else ("",) * sample.values.size, sample.values.tolist())
+                         for name, sample in scaled.items()})
 
 
 def read_scaled_csv(path):
     """Read long-form scaled microdata back into ScaledSample objects."""
+    import numpy as np
+
     path = Path(path)
     header, rows = _read_table(path)
     _refuse_repeated(header, path)

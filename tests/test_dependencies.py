@@ -120,16 +120,19 @@ _DISTANCE = _BASE | {"latent", "quadrature", "mallows"}
 
 
 def test_each_chain_stage_loads_only_its_modules(tmp_path):
-    # one fresh process per stage, as the CLI runs them; special is never needed
+    # one fresh process per stage, as the CLI runs them; special is never needed.
+    # aggregate runs on plain floats, without numpy, and fit reads no interval
+    # frame
     from ivda.datasets import bundled_path
 
     frame = ["--intervals", str(tmp_path / "iv.csv"), "--latents", str(tmp_path / "fit.json")]
     stages = [
         (["aggregate", "--microdata", str(bundled_path("flights_like_microdata.csv")),
           "--trim", "0.05", "--out", str(tmp_path / "iv.csv"),
-          "--scaled-out", str(tmp_path / "scaled.csv")], _BASE),
+          "--scaled-out", str(tmp_path / "scaled.csv")], {"errors", "ingest"}),
         (["fit", "--method", "kde", "--scaled", str(tmp_path / "scaled.csv"),
-          "--out", str(tmp_path / "fit.json")], _BASE | {"estimation", "latent", "quadrature"}),
+          "--out", str(tmp_path / "fit.json")],
+         {"errors", "ingest", "estimation", "latent", "quadrature"}),
         (["distance", *frame, "--out", str(tmp_path / "dist.csv")], _DISTANCE),
         (["covariance", *frame, "--out", str(tmp_path / "cov.csv"),
           "--report-out", str(tmp_path / "report.json")], _DISTANCE | {"moments"}),
@@ -138,3 +141,9 @@ def test_each_chain_stage_loads_only_its_modules(tmp_path):
         loaded = _fresh_modules(_STAGE, *argv)
         assert {m[len("ivda."):] for m in loaded if m.startswith("ivda.")} == \
             expected | {"cli"}, argv[0]
+        assert ("numpy" in loaded) == (argv[0] != "aggregate"), argv[0]
+
+
+def test_cli_import_loads_no_numpy():
+    loaded = _fresh_modules("import json, sys, ivda.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "ivda.cli" in loaded and "numpy" not in loaded

@@ -1,5 +1,15 @@
+import contextlib
+import csv
+import dataclasses
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivda import (
     MicroRecord,
@@ -11,6 +21,7 @@ from ivda import (
     write_interval_csv,
     write_scaled_csv,
 )
+from ivda.cli import main
 from ivda.datasets import credit_card_intervals
 from ivda.errors import DataValidationError, DomainError
 from ivda.interval import IntervalFrame
@@ -25,6 +36,23 @@ def test_record_validation():
         MicroRecord(key=(), variable="x", value=1.0)
     with pytest.raises(DomainError):
         MicroRecord(key=("g",), variable="x", value=float("nan"))
+
+
+@pytest.mark.parametrize("key", ["AA", ["AA"]], ids=["str", "list"])
+def test_record_refuses_a_key_that_is_not_a_tuple(key):
+    # a str key used to be split into its characters, ('A', 'A')
+    with pytest.raises(DomainError, match="key must be a non-empty tuple of non-empty strings"):
+        MicroRecord(key=key, variable="x", value=1.0)
+
+
+def test_record_is_an_immutable_value():
+    record = MicroRecord(key=("1", 2), variable="x", value=1.5)
+    assert (record.key, record.variable, record.value) == (("1", "2"), "x", 1.5)
+    assert record == MicroRecord(("1", "2"), "x", 1.5)
+    assert hash(record) == hash(MicroRecord(("1", "2"), "x", 1.5))
+    assert record != MicroRecord(("1", "2"), "x", 2.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.value = 2.0
 
 
 def test_aggregate_trim_zero_is_min_max():
@@ -161,6 +189,20 @@ def test_microdata_csv_roundtrip(tmp_path):
     assert result.frame.n == 2
 
 
+@pytest.mark.parametrize("text, error", [
+    ("g,variable,value\na,x,1\n,x,2\n",
+     "3: record key must be a non-empty tuple of non-empty strings"),
+    ("h,g,variable,value\na,,x,1\n", "2: record key must be a non-empty tuple of non-empty strings"),
+    ("g,variable,value\na,x,1\na,x,inf\n", "3: non-finite value for ('a',)/x"),
+], ids=["empty-key", "empty-second-key", "non-finite"])
+def test_microdata_reader_names_the_line_of_a_bad_record(tmp_path, text, error):
+    path = tmp_path / "micro.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataValidationError) as info:
+        read_microdata_csv(path)
+    assert str(info.value) == f"{path}:{error}"
+
+
 def test_microdata_csv_header_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -193,3 +235,92 @@ def test_scaled_csv_roundtrip(tmp_path):
     assert set(back) == set(scaled)
     assert np.allclose(back["x"].values, scaled["x"].values)
     assert back["x"].rows == scaled["x"].rows
+
+
+# --- the aggregate command against the library -----------------------------
+
+def _aggregate_both_ways(d, trim=0.0, keep_degenerate=False):
+    """Aggregate ``d/micro.csv`` with the CLI and with the library calls.
+
+    Returns the CLI's exit code and stderr, and the library's error or None;
+    on success each way has written iv, scaled and report files in ``d``
+    (prefixed cli_ and lib_).
+    """
+    micro = d / "micro.csv"
+    argv = ["aggregate", "--microdata", str(micro), "--trim", repr(trim),
+            "--out", str(d / "cli_iv.csv"), "--scaled-out", str(d / "cli_scaled.csv"),
+            "--report-out", str(d / "cli_report.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + (["--keep-degenerate"] if keep_degenerate else []))
+    try:
+        result = aggregate(read_microdata_csv(micro), trim=trim,
+                           keep_degenerate=keep_degenerate)
+    except DataValidationError as exc:
+        return code, err.getvalue(), exc
+    write_interval_csv(result.frame, d / "lib_iv.csv")
+    write_scaled_csv(result.scaled, d / "lib_scaled.csv")
+    report = {"rows_kept": result.frame.n,
+              "dropped_rows": [{"row": label, "reasons": reasons}
+                               for label, reasons in result.report.dropped_rows],
+              "trim": trim}
+    (d / "lib_report.json").write_text(json.dumps(report, sort_keys=True, indent=2),
+                                       encoding="utf-8")
+    return code, err.getvalue(), None
+
+
+# ties and a few huge values give degenerate cells and overflowing ranges
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1.7e308, -1.7e308]),
+                    st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _microdata(draw):
+    width = draw(st.integers(1, 2))
+    keys = draw(st.lists(st.tuples(*[st.sampled_from(["a", "b", "c,d"])] * width),
+                         min_size=1, max_size=3, unique=True))
+    variables = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3,
+                              unique=True))
+    # one cell in five is empty, which drops its row
+    rows = [(*key, name, value) for key in keys for name in variables
+            for value in (draw(st.lists(_VALUES, min_size=1, max_size=6))
+                          if draw(st.integers(0, 4)) else [])]
+    # degenerate cells are kept only at trim zero
+    trim = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True)))
+    return [f"g{k}" for k in range(width)], rows, trim, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_microdata())
+def test_the_aggregate_command_writes_what_the_library_writes(case):
+    groups, rows, trim, keep_degenerate = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        with (d / "micro.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*groups, "variable", "value"])
+            writer.writerows([*row[:-1], repr(row[-1])] for row in rows)
+        code, stderr, refused = _aggregate_both_ways(d, trim, keep_degenerate)
+        if refused is not None:
+            assert code == 2
+            error = json.loads(stderr)["error"]
+            assert error["message"] == str(refused)
+            assert error.get("violations", []) == json.loads(json.dumps(refused.violations))
+            assert not (d / "cli_iv.csv").exists()
+            return
+        assert code == 0
+        for name in ("iv.csv", "scaled.csv", "report.json"):
+            assert (d / f"cli_{name}").read_bytes() == (d / f"lib_{name}").read_bytes(), name
+
+
+def test_aggregate_refuses_the_scaled_values_of_an_overflowed_range(tmp_path):
+    # row a's range overflows to inf, so 2 (v - c) / r is inf / inf = NaN
+    (tmp_path / "micro.csv").write_text(
+        "g,variable,value\na,x,-1.7e308\na,x,1.7e308\na,x,0\nb,x,1\nb,x,2\n",
+        encoding="utf-8")
+    code, stderr, refused = _aggregate_both_ways(tmp_path)
+    message = "scaled values for 'x' must lie in [-1, 1]"
+    assert (code, json.loads(stderr)) == (2, {"error": {"type": "validation",
+                                                       "message": message}})
+    assert str(refused) == message
+    assert not (tmp_path / "cli_iv.csv").exists()
