@@ -115,6 +115,10 @@ def _scale(values, lower, upper):
         raise DataValidationError(
             f"{len(bad)} value(s) outside [{lower}, {upper}]: {shown}")
     c = 0.5 * (lower + upper)
+    if not math.isfinite(c):
+        # the bounds' sum overflowed; halving each first keeps every finite
+        # case's bits
+        c = 0.5 * lower + 0.5 * upper
     # NaN, from an overflowed range, passes the clamp, as through np.clip
     return [-1.0 if u < -1.0 else 1.0 if u > 1.0 else u
             for u in [2.0 * (v - c) / r for v in values]]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivda
 from ivda import (
     Degenerate,
     InvertedTriangular,
@@ -447,3 +452,60 @@ def test_short_csv_row_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, ar
     assert code == 2
     assert json.loads(stderr)["error"]["message"] == f"table.csv:{error}"
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()
+
+
+# --- the program entry ---------------------------------------------------
+
+_CHAIN = [
+    ["aggregate", "--microdata", str(bundled_path("flights_like_microdata.csv")),
+     "--trim", "0.05", "--out", "iv.csv", "--scaled-out", "scaled.csv"],
+    ["fit", "--method", "kde", "--scaled", "scaled.csv", "--out", "fit.json"],
+    ["distance", "--intervals", "iv.csv", "--latents", "fit.json", "--out", "dist.csv"],
+    ["covariance", "--intervals", "iv.csv", "--latents", "fit.json", "--out", "cov.csv",
+     "--report-out", "report.json"],
+]
+_RAGGED = ["distance", "--intervals", "ragged.csv", "--latents", "uniform", "--out", "bad.csv"]
+
+
+def _fresh_python(args, cwd):
+    # a fresh interpreter that imports ivda from the same place as this one
+    env = {**os.environ, "PYTHONPATH": str(Path(ivda.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def test_the_program_writes_what_main_writes(tmp_path, capsys, monkeypatch):
+    # python -m ivda.cli runs run(), one fresh interpreter per command, as the
+    # console script does; main() runs here, in one directory of its own
+    program, library = tmp_path / "program", tmp_path / "library"
+    for d in (program, library):
+        d.mkdir()
+        (d / "ragged.csv").write_text("label,a.lo,a.hi\nr1,1,2\nr2,1\n", encoding="utf-8")
+    monkeypatch.chdir(library)
+    for argv, code in [*[(argv, 0) for argv in _CHAIN], (_RAGGED, 2)]:
+        done = _fresh_python(["-m", "ivda.cli", *argv], program)
+        assert done.returncode == code, done.stderr
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv), argv
+    assert json.loads(done.stderr)["error"]["message"] == \
+        "ragged.csv:3: row has 2 fields, the header 3"
+    files = sorted(f.name for f in program.iterdir())
+    assert files == sorted(f.name for f in library.iterdir())
+    assert {"fit_air_time_sample.txt", "cov.csv", "report.json"} <= set(files)
+    for name in files:
+        assert (program / name).read_bytes() == (library / name).read_bytes(), name
+
+
+_KEEPS_GC = """
+import gc, json, sys
+before = [gc.isenabled(), gc.get_freeze_count()]
+from ivda import cli
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps([before, [gc.isenabled(), gc.get_freeze_count()]]))
+"""
+
+
+def test_import_and_main_keep_the_callers_collector(tmp_path):
+    done = _fresh_python(["-c", _KEEPS_GC, *_CHAIN[0]], tmp_path)
+    assert done.returncode == 0, done.stderr
+    before, after = json.loads(done.stdout.splitlines()[-1])
+    assert before == after == [True, 0]

@@ -40,6 +40,11 @@ def test_scale_roundtrip_exact(rng):
     assert np.max(np.abs(back - u)) < 1e-12
 
 
+def test_scale_bounds_whose_sum_overflows():
+    iv = Interval(1e308, 1.7e308)
+    assert scale_to_latent([1e308, 1.7e308], iv).tolist() == [-1.0, 1.0]
+
+
 def test_scale_zero_range_errors():
     with pytest.raises(DomainError):
         scale_to_latent([1.0], Interval(1.0, 1.0))

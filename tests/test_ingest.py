@@ -324,3 +324,14 @@ def test_aggregate_refuses_the_scaled_values_of_an_overflowed_range(tmp_path):
                                                        "message": message}})
     assert str(refused) == message
     assert not (tmp_path / "cli_iv.csv").exists()
+
+
+def test_aggregate_scales_a_cell_whose_bounds_sum_overflows(tmp_path):
+    # row a's range is finite but lower + upper is not; its centre must be too
+    (tmp_path / "micro.csv").write_text(
+        "g,variable,value\na,x,1e308\na,x,1.7e308\nb,x,1\nb,x,2\n", encoding="utf-8")
+    code, _, refused = _aggregate_both_ways(tmp_path)
+    assert (code, refused) == (0, None)
+    scaled = (tmp_path / "cli_scaled.csv").read_text(encoding="utf-8")
+    assert scaled == "variable,row,value\nx,a,-1.0\nx,a,1.0\nx,b,-1.0\nx,b,1.0\n"
+    assert scaled == (tmp_path / "lib_scaled.csv").read_text(encoding="utf-8")
