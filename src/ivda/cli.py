@@ -27,7 +27,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .errors import DataValidationError, DomainError, NumericFailure
@@ -43,14 +42,15 @@ def _parse_latent_shorthand(text):
     The parameters are the family's fields in order; a kde needs a sample
     file, so it has no shorthand.
     """
-    from .latent import _FAMILIES
+    from .latent import _FAMILIES, Kde
 
     name, _, params = text.partition(":")
     name = name.strip().lower()
     family = _ALIASES.get(name, name)
-    if not is_dataclass(_FAMILIES.get(family)):
+    cls = _FAMILIES.get(family)
+    if cls is None or cls is Kde:
         raise DomainError(f"unknown latent family shorthand {name!r}")
-    keys = [field.name for field in fields(_FAMILIES[family])]
+    keys = cls._fields
     spec = {"family": family}
     if params:
         values = [v for v in params.split(",") if v.strip()]
@@ -102,7 +102,7 @@ def _load_valid_frame(path, latents_arg):
     if violations:
         raise DataValidationError(
             f"{path}: {len(violations)} validation violation(s)",
-            violations=[v.__dict__ for v in violations])
+            violations=[v._asdict() for v in violations])
     return frame
 
 
@@ -355,16 +355,7 @@ def _cmd_pairs_data(args):
 
 # --- parser ---------------------------------------------------------------
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ivda",
-        description="Interval-valued data analysis: distances, barycentres, "
-                    "and symbolic covariance under latent microdata models.")
-    parser.add_argument("--config", help="JSON file of flag values; keys the subcommand "
-                                         "does not take are ignored, and flags win")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("aggregate", help="aggregate microdata into intervals")
+def _aggregate_args(p):
     p.add_argument("--microdata", help="CSV: group...,variable,value")
     p.add_argument("--trim", type=float, default=0.0,
                    help="fraction trimmed from each tail of every cell (default %(default)s)")
@@ -373,9 +364,9 @@ def _build_parser():
     p.add_argument("--out", help="interval CSV output")
     p.add_argument("--scaled-out", help="long-form scaled microdata CSV output")
     p.add_argument("--report-out", help="JSON aggregation report output")
-    p.set_defaults(func=_cmd_aggregate)
 
-    p = sub.add_parser("fit", help="fit latent distributions")
+
+def _fit_args(p):
     p.add_argument("--method", choices=["beta", "kde", "triangular-pearson"])
     p.add_argument("--scaled", help="scaled microdata CSV (beta/kde)")
     p.add_argument("--summaries", help="summary statistics CSV (triangular-pearson)")
@@ -384,60 +375,98 @@ def _build_parser():
                    help="symmetry test level before Bonferroni correction "
                         "(default %(default)s)")
     p.add_argument("--out", help="JSON fit report output")
-    p.set_defaults(func=_cmd_fit)
 
-    def add_frame_args(p):
-        p.add_argument("--intervals", help="interval CSV input")
-        p.add_argument("--latents",
-                       help="latent spec: JSON mapping file or shorthand like "
-                            "'triangular:0', 'uniform', 'beta:0.44,2.15'")
 
-    p = sub.add_parser("distance", help="pairwise distance matrix")
-    add_frame_args(p)
+def _frame_args(p):
+    p.add_argument("--intervals", help="interval CSV input")
+    p.add_argument("--latents",
+                   help="latent spec: JSON mapping file or shorthand like "
+                        "'triangular:0', 'uniform', 'beta:0.44,2.15'")
+
+
+def _distance_args(p):
+    _frame_args(p)
     p.add_argument("--threads", type=int, default=1,
                    help="threads that share out the matrix's fixed row blocks; "
                         "the output is the same for any count. Each call starts a new "
                         "pool, so two threads are slower than one at 200 rows and pay "
                         "off from about 1000 rows (default %(default)s)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("barycentre", help="barycentre and Frechet variance")
-    add_frame_args(p)
+
+def _barycentre_args(p):
+    _frame_args(p)
     p.add_argument("--out", help="single-row interval CSV output")
-    p.set_defaults(func=_cmd_barycentre)
 
-    for name, correlation in (("covariance", False), ("correlation", True)):
-        p = sub.add_parser(name, help=f"symbolic {name} matrix")
-        add_frame_args(p)
-        p.add_argument("--estimator", choices=["barycentre", "model7"], default="barycentre",
-                       help="model7: the diagonal comparison estimator (default %(default)s)")
-        p.add_argument("--ddof1", action="store_true",
-                       help="use the n-1 divisor instead of n")
-        p.add_argument("--out")
-        p.add_argument("--report-out", help="JSON audit report (barycentre only)")
-        p.set_defaults(func=lambda a, c=correlation: _cmd_covariance(a, correlation=c))
 
-    p = sub.add_parser("compare", help="Frobenius norm of a matrix difference")
+def _covariance_args(p):
+    _frame_args(p)
+    p.add_argument("--estimator", choices=["barycentre", "model7"], default="barycentre",
+                   help="model7: the diagonal comparison estimator (default %(default)s)")
+    p.add_argument("--ddof1", action="store_true",
+                   help="use the n-1 divisor instead of n")
+    p.add_argument("--out")
+    p.add_argument("--report-out", help="JSON audit report (barycentre only)")
+
+
+def _compare_args(p):
     p.add_argument("--a")
     p.add_argument("--b")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("ellipse", help="iso-distance ellipse points")
+
+def _ellipse_args(p):
     p.add_argument("--x0", help="reference interval as 'lo,hi' (use --x0=-3,5 "
                                "for negative bounds)")
     p.add_argument("--delta", type=float)
     p.add_argument("--radius", type=float, default=1.0, help="(default %(default)s)")
     p.add_argument("--n-points", type=int, default=256, help="(default %(default)s)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_ellipse)
 
-    p = sub.add_parser("pairs-data",
-                       help="rectangle and barycentre coordinates per variable pair")
-    add_frame_args(p)
+
+def _pairs_data_args(p):
+    _frame_args(p)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_pairs_data)
 
+
+# each subcommand: its name, its help, the function that adds its arguments
+# and the function that runs it
+_SUBCOMMANDS = (
+    ("aggregate", "aggregate microdata into intervals", _aggregate_args, _cmd_aggregate),
+    ("fit", "fit latent distributions", _fit_args, _cmd_fit),
+    ("distance", "pairwise distance matrix", _distance_args, _cmd_distance),
+    ("barycentre", "barycentre and Frechet variance", _barycentre_args, _cmd_barycentre),
+    ("covariance", "symbolic covariance matrix", _covariance_args, _cmd_covariance),
+    ("correlation", "symbolic correlation matrix", _covariance_args,
+     lambda a: _cmd_covariance(a, correlation=True)),
+    ("compare", "Frobenius norm of a matrix difference", _compare_args, _cmd_compare),
+    ("ellipse", "iso-distance ellipse points", _ellipse_args, _cmd_ellipse),
+    ("pairs-data", "rectangle and barycentre coordinates per variable pair",
+     _pairs_data_args, _cmd_pairs_data),
+)
+
+
+def _build_parser(argv=None):
+    """The parser, and its subparsers by name.
+
+    Every subcommand is registered, but only those that ``argv`` names get
+    their arguments, since one process runs one subcommand; when ``argv``
+    names none (or is None), all of them do. The subcommand that parses is
+    always complete, so help, usage errors and parsed values do not depend
+    on ``argv``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ivda",
+        description="Interval-valued data analysis: distances, barycentres, "
+                    "and symbolic covariance under latent microdata models.")
+    parser.add_argument("--config", help="JSON file of flag values; keys the subcommand "
+                                         "does not take are ignored, and flags win")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv or ()).intersection(name for name, *_ in _SUBCOMMANDS)
+    for name, help_, add_args, func in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_)
+        if not named or name in named:
+            add_args(p)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -447,7 +476,7 @@ def _parse_args(argv):
     Each key that the subcommand takes is parsed as its flag: ``--key=value``,
     or a bare ``--key`` for true; null and false set nothing.
     """
-    parser, subcommands = _build_parser()
+    parser, subcommands = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.config:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))

@@ -9,10 +9,9 @@ Every fit is deterministic: no randomness enters any routine here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._value import Frozen
 from .errors import DataValidationError, DomainError, NumericFailure
 from .latent import Kde, ShiftedBeta, Triangular
 
@@ -64,13 +63,15 @@ def fit_kde(u_samples, bandwidth=None):
     return Kde(u, bandwidth=bandwidth)
 
 
-@dataclass(frozen=True)
-class ModeEstimates:
+class ModeEstimates(Frozen):
     """Per-row empirical modes of one variable plus their average."""
 
-    modes: np.ndarray
-    m_hat: float
-    symmetric: bool | None = None
+    __slots__ = _fields = ("modes", "m_hat", "symmetric")
+
+    def __init__(self, modes, m_hat, symmetric=None):
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "m_hat", m_hat)
+        object.__setattr__(self, "symmetric", symmetric)
 
 
 def estimate_modes_pearson(means, medians):
@@ -145,8 +146,7 @@ def fit_triangular_pearson(means, medians, intervals, alpha=0.05, n_tests=1):
     return Triangular(mode=float(np.clip(mode, -1.0, 1.0))), estimates
 
 
-@dataclass(frozen=True)
-class VariableMicrodata:
+class VariableMicrodata(Frozen):
     """Per-variable microdata information for the moment summary.
 
     Either a fitted latent, a scaled sample, or both. When both exist the
@@ -155,15 +155,16 @@ class VariableMicrodata:
     a kernel density estimate for its quantile function.
     """
 
-    name: str
-    latent: object | None = None
-    sample: np.ndarray | None = None
+    __slots__ = _fields = ("name", "latent", "sample")
 
-    def __post_init__(self):
-        if self.latent is None and self.sample is None:
-            raise DomainError(f"variable {self.name!r} has neither a latent nor a sample")
-        if self.sample is not None:
-            object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float).ravel())
+    def __init__(self, name, latent=None, sample=None):
+        if latent is None and sample is None:
+            raise DomainError(f"variable {name!r} has neither a latent nor a sample")
+        if sample is not None:
+            sample = np.asarray(sample, dtype=float).ravel()
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "latent", latent)
+        object.__setattr__(self, "sample", sample)
 
 
 def empirical_moment_summary(variables):

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 
+from ._value import Frozen, Value
 from .errors import DataValidationError, DomainError
 
 __all__ = [
@@ -44,8 +44,7 @@ __all__ = [
 _KEY_RULE = "record key must be a non-empty tuple of non-empty strings"
 
 
-@dataclass(frozen=True)
-class MicroRecord:
+class MicroRecord(Frozen):
     """One microdata point: a group key, a variable name, and a value.
 
     The key must be a non-empty tuple, whose items are stored as
@@ -53,22 +52,21 @@ class MicroRecord:
     DomainError, as does a non-finite value.
     """
 
-    key: tuple
-    variable: str
-    value: float
+    __slots__ = _fields = ("key", "variable", "value")
 
-    def __post_init__(self):
-        key = self.key
+    def __init__(self, key, variable, value):
         if not isinstance(key, tuple):
             # tuple("AA") would split the label into its characters
             raise DomainError(_KEY_RULE)
         if type(key) is not tuple or not all(type(k) is str for k in key):
             key = tuple(map(str, key))
-            object.__setattr__(self, "key", key)
         if not key or "" in key:
             raise DomainError(_KEY_RULE)
-        if not math.isfinite(self.value):
-            raise DomainError(f"non-finite value for {key}/{self.variable}")
+        if not math.isfinite(value):
+            raise DomainError(f"non-finite value for {key}/{variable}")
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "value", value)
 
 
 def _check_scaled(variable, values):
@@ -77,26 +75,25 @@ def _check_scaled(variable, values):
         raise DataValidationError(f"scaled values for {variable!r} must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class ScaledSample:
+class ScaledSample(Frozen):
     """Microdata of one variable mapped onto [-1, 1], with row provenance.
 
     Every value must be finite and within 1e-9 of [-1, 1]; it is clamped
     into [-1, 1].
     """
 
-    variable: str
-    values: np.ndarray
-    rows: tuple | None = None
+    __slots__ = _fields = ("variable", "values", "rows")
 
-    def __post_init__(self):
+    def __init__(self, variable, values, rows=None):
         import numpy as np
 
-        values = np.asarray(self.values, dtype=float)
-        _check_scaled(self.variable, values.ravel().tolist())
-        object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
-        if self.rows is not None and len(self.rows) != values.size:
+        values = np.asarray(values, dtype=float)
+        _check_scaled(variable, values.ravel().tolist())
+        if rows is not None and len(rows) != values.size:
             raise DomainError("provenance length must match the number of values")
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
+        object.__setattr__(self, "rows", rows)
 
 
 def _scale(values, lower, upper):
@@ -138,15 +135,16 @@ def scale_to_latent(values, interval):
     return np.array(u, dtype=float).reshape(values.shape)
 
 
-@dataclass
-class AggregationReport:
+class AggregationReport(Value):
     """Rows dropped while aggregating, each with the reasons it was dropped."""
 
-    dropped_rows: list = field(default_factory=list)
+    __slots__ = _fields = ("dropped_rows",)
+
+    def __init__(self, dropped_rows=()):
+        self.dropped_rows = list(dropped_rows)
 
 
-@dataclass
-class AggregateResult:
+class AggregateResult(Value):
     """What ``aggregate`` kept, in plain floats.
 
     ``lower`` and ``upper`` hold one list of bounds per kept row, in the
@@ -156,12 +154,16 @@ class AggregateResult:
     built from them on first read.
     """
 
-    names: tuple
-    labels: tuple
-    lower: list
-    upper: list
-    samples: dict
-    report: AggregationReport
+    # no __slots__: the cached properties are stored in the instance __dict__
+    _fields = ("names", "labels", "lower", "upper", "samples", "report")
+
+    def __init__(self, names, labels, lower, upper, samples, report):
+        self.names = names
+        self.labels = labels
+        self.lower = lower
+        self.upper = upper
+        self.samples = samples
+        self.report = report
 
     @cached_property
     def frame(self):

@@ -10,15 +10,19 @@ dataset container; it stores raw bounds without judging them, and exposes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from functools import cached_property
 
 import numpy as np
 
+from ._value import Frozen
 from .errors import DataValidationError, DomainError
 
 __all__ = ["Interval", "Box", "IntervalFrame", "Violation"]
 
+
+# a bound beyond this may make the bounds' sum overflow
+_HALF_MAX = 0.5 * sys.float_info.max
 
 # what a range that does not match its latent breaks, by whether the latent
 # is degenerate
@@ -37,18 +41,18 @@ def _cell_faults(lower, upper, ranges, degenerate):
     return ~finite, crossed, mismatch
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """A real closed bounded interval [lower, upper]."""
 
-    lower: float
-    upper: float
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+    def __init__(self, lower, upper):
+        if not (math.isfinite(lower) and math.isfinite(upper)):
             raise DomainError("interval bounds must be finite")
-        if self.lower > self.upper:
-            raise DomainError(f"interval bounds out of order: [{self.lower}, {self.upper}]")
+        if lower > upper:
+            raise DomainError(f"interval bounds out of order: [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def from_centre_range(cls, centre, range_):
@@ -59,35 +63,39 @@ class Interval:
 
     @property
     def centre(self):
-        return 0.5 * (self.lower + self.upper)
+        lower, upper = self.lower, self.upper
+        if abs(lower) <= _HALF_MAX and abs(upper) <= _HALF_MAX:
+            return 0.5 * (lower + upper)
+        # halving each bound first gives the same bits wherever the sum is
+        # finite, and a finite centre where it overflows
+        return 0.5 * lower + 0.5 * upper
 
     @property
     def range(self):
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """A hyperrectangle: p intervals plus the latent weight per dimension.
 
     Each dimension obeys the frame rule: its range is zero exactly when its
     latent is ``Degenerate``, else the Box raises a DomainError.
     """
 
-    intervals: tuple
-    latents: tuple
+    __slots__ = _fields = ("intervals", "latents")
 
-    def __post_init__(self):
+    def __init__(self, intervals, latents):
         # imported here: reading and writing frames never needs the latents
         from .latent import Degenerate, LatentDistribution
 
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        object.__setattr__(self, "latents", tuple(self.latents))
-        if len(self.intervals) < 1:
+        intervals, latents = tuple(intervals), tuple(latents)
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "latents", latents)
+        if len(intervals) < 1:
             raise DomainError("a box needs at least one dimension")
-        if len(self.intervals) != len(self.latents):
+        if len(intervals) != len(latents):
             raise DomainError("one latent distribution is required per dimension")
-        for i, (iv, lat) in enumerate(zip(self.intervals, self.latents)):
+        for i, (iv, lat) in enumerate(zip(intervals, latents)):
             if not isinstance(iv, Interval):
                 raise DomainError(f"dimension {i} is not an Interval")
             if not isinstance(lat, LatentDistribution):
@@ -116,14 +124,16 @@ class Box:
         return np.concatenate([self.centres, self.ranges])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One broken data invariant; collected, never raised, by ``validate``."""
 
-    rule: str
-    row: int | None
-    column: int | None
-    message: str
+    __slots__ = _fields = ("rule", "row", "column", "message")
+
+    def __init__(self, rule, row, column, message):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "message", message)
 
 
 class IntervalFrame:
@@ -182,8 +192,19 @@ class IntervalFrame:
         return self._upper
 
     def centres_ranges(self):
-        """(n, p) matrices of centres and ranges; an exact arithmetic split."""
-        return 0.5 * (self._lower + self._upper), self._upper - self._lower
+        """(n, p) matrices of centres and ranges; an exact arithmetic split.
+
+        Where the bounds' sum overflows, the centre halves each bound first,
+        which gives the same bits wherever the sum is finite. A range that
+        overflows is inf. Neither emits a numpy warning.
+        """
+        lower, upper = self._lower, self._upper
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = 0.5 * (lower + upper)
+            finite = np.isfinite(c)
+            if not finite.all():
+                c = np.where(finite, c, 0.5 * lower + 0.5 * upper)
+            return c, upper - lower
 
     @property
     def centres(self):
@@ -265,7 +286,8 @@ class IntervalFrame:
         ``degenerate-latent-mismatch``. With every latent set, the list is
         empty exactly when ``checked_centres_ranges`` passes.
         """
-        ranges = self._upper - self._lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranges = self._upper - self._lower
         nonfinite, crossed, mismatch = _cell_faults(self._lower, self._upper, ranges,
                                                    self._degenerate)
         out = [Violation("not-finite", i, j,

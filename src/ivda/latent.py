@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._value import Frozen
 from .errors import DataValidationError, DomainError, IvdaError, NumericFailure
 from .quadrature import fixed_grid, gauss_weights
 
@@ -47,7 +47,15 @@ _GAUSS2 = 1.0 / math.sqrt(3.0)
 
 
 class LatentDistribution:
-    """Base class for latent weight distributions with support [-1, 1]."""
+    """Base class for latent weight distributions with support [-1, 1].
+
+    A parametric family is a ``Frozen`` value whose fields are its
+    parameters; ``_defaults`` holds the default of each optional one, which
+    a JSON spec may leave out.
+    """
+
+    __slots__ = ()
+    _defaults = {}
 
     def _quantile(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -81,9 +89,10 @@ class LatentDistribution:
         return ()
 
 
-@dataclass(frozen=True)
-class Uniform(LatentDistribution):
+class Uniform(LatentDistribution, Frozen):
     """Continuous uniform weight on [-1, 1]."""
+
+    __slots__ = ()
 
     def _quantile(self, t):
         return 2.0 * t - 1.0
@@ -97,19 +106,20 @@ class Uniform(LatentDistribution):
         return 1.0 / 3.0
 
 
-@dataclass(frozen=True)
-class Triangular(LatentDistribution):
+class Triangular(LatentDistribution, Frozen):
     """Triangular weight on [-1, 1] with mode in [-1, 1].
 
     mean = mode/3, variance = (mode^2 + 3)/18, so the second moment is
     (mode^2 + 1)/6.
     """
 
-    mode: float = 0.0
+    __slots__ = _fields = ("mode",)
+    _defaults = {"mode": 0.0}
 
-    def __post_init__(self):
-        if not (-1.0 <= self.mode <= 1.0) or not math.isfinite(self.mode):
-            raise DomainError(f"triangular mode must lie in [-1, 1], got {self.mode}")
+    def __init__(self, mode=0.0):
+        if not (-1.0 <= mode <= 1.0) or not math.isfinite(mode):
+            raise DomainError(f"triangular mode must lie in [-1, 1], got {mode}")
+        object.__setattr__(self, "mode", mode)
 
     def _quantile(self, t):
         m = self.mode
@@ -135,9 +145,10 @@ class Triangular(LatentDistribution):
         return (split,) if 0.0 < split < 1.0 else ()
 
 
-@dataclass(frozen=True)
-class InvertedTriangular(LatentDistribution):
+class InvertedTriangular(LatentDistribution, Frozen):
     """V-shaped density |u| on [-1, 1]; mass piles up at the endpoints."""
+
+    __slots__ = ()
 
     def _quantile(self, t):
         left = -np.sqrt(np.maximum(1.0 - 2.0 * t, 0.0))
@@ -156,17 +167,19 @@ class InvertedTriangular(LatentDistribution):
         return (0.5,)
 
 
-@dataclass(frozen=True)
-class TruncatedNormal(LatentDistribution):
+class TruncatedNormal(LatentDistribution, Frozen):
     """Centred normal with pre-truncation variance sigma2, cut to [-1, 1]."""
 
-    sigma2: float = 1.0 / 9.0
+    # the second moment takes about 12 us to evaluate, and every distance
+    # reads it, so it is computed once into _m2, which is not a field
+    __slots__ = ("sigma2", "_m2")
+    _fields = ("sigma2",)
+    _defaults = {"sigma2": 1.0 / 9.0}
 
-    def __post_init__(self):
-        if not (self.sigma2 > 0.0) or not math.isfinite(self.sigma2):
+    def __init__(self, sigma2=1.0 / 9.0):
+        if not (sigma2 > 0.0) or not math.isfinite(sigma2):
             raise DomainError("sigma2 must be a positive real")
-        # about 12 us to evaluate, and every distance reads it, so it is
-        # computed once; the frozen dataclass compares sigma2 alone
+        object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "_m2", self._second_moment())
 
     def _quantile(self, t):
@@ -211,17 +224,17 @@ class TruncatedNormal(LatentDistribution):
         return float(np.sum(terms / (2 * j + 3)) / np.sum(terms / (2 * j + 1)))
 
 
-@dataclass(frozen=True)
-class ShiftedBeta(LatentDistribution):
+class ShiftedBeta(LatentDistribution, Frozen):
     """U = 2W - 1 with W ~ Beta(alpha, beta), mapped onto [-1, 1]."""
 
-    alpha: float
-    beta: float
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        ok = self.alpha > 0.0 and self.beta > 0.0
-        if not ok or not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+    def __init__(self, alpha, beta):
+        ok = alpha > 0.0 and beta > 0.0
+        if not ok or not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError("beta shape parameters must be positive reals")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def _quantile(self, t):
         from .special import betainc_inv
@@ -242,9 +255,10 @@ class ShiftedBeta(LatentDistribution):
         return self.variance + self.mean ** 2
 
 
-@dataclass(frozen=True)
-class Degenerate(LatentDistribution):
+class Degenerate(LatentDistribution, Frozen):
     """Point mass at 0; the weight of a zero-range (real-valued) variable."""
+
+    __slots__ = ()
 
     def _quantile(self, t):
         return np.zeros_like(t)
@@ -541,7 +555,7 @@ def microdata_quantile(c, r, dist, t):
     return c + 0.5 * r * np.asarray(q) if np.ndim(t) else c + 0.5 * r * q
 
 
-# the JSON tag of each family; a dataclass family's spec holds its fields,
+# the JSON tag of each family; a parametric family's spec holds its fields,
 # and a Kde's holds the path of its sample file and its bandwidth
 _FAMILIES = {
     "uniform": Uniform,
@@ -568,7 +582,7 @@ def latent_to_dict(dist, sample_path=None):
             raise DomainError("kde serialization requires sample_path")
         return {"family": tag, "sample_path": str(sample_path),
                 "bandwidth": dist.bandwidth}
-    return {"family": tag, **asdict(dist)}
+    return {"family": tag, **dist._asdict()}
 
 
 def latent_from_dict(spec, base_dir="."):
@@ -587,9 +601,9 @@ def latent_from_dict(spec, base_dir="."):
         if cls is Kde:
             sample = np.loadtxt(Path(base_dir) / spec["sample_path"], ndmin=1)
             return Kde(sample, bandwidth=spec.get("bandwidth"))
-        return cls(**{f.name: float(spec[f.name] if f.default is MISSING
-                                    else spec.get(f.name, f.default))
-                      for f in fields(cls)})
+        return cls(**{name: float(spec[name] if name not in cls._defaults
+                                  else spec.get(name, cls._defaults[name]))
+                      for name in cls._fields})
     except KeyError as exc:
         raise DataValidationError(f"latent spec missing field {exc}") from exc
     except IvdaError:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Frozen
 from .errors import DomainError, NumericFailure
 from .latent import _quantile_table, cross_moment
 from .quadrature import gauss_weights
@@ -160,17 +160,19 @@ def _latent_moments(latents):
     return psi, delta
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(Frozen):
     """First and second latent moments of a p-dimensional latent vector.
 
     psi holds the means, delta the second moments over four, and euu the
     full cross-moment matrix whose diagonal equals the second moments.
     """
 
-    psi: np.ndarray
-    delta: np.ndarray
-    euu: np.ndarray
+    __slots__ = _fields = ("psi", "delta", "euu")
+
+    def __init__(self, psi, delta, euu):
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "euu", euu)
 
     @classmethod
     def from_latents(cls, latents):
@@ -192,8 +194,7 @@ class MomentSummary:
         return 4.0 * self.delta - self.psi ** 2
 
 
-@dataclass(frozen=True)
-class MahalanobisForm:
+class MahalanobisForm(Frozen):
     """The quadratic form that reproduces the squared box distance.
 
     ``h`` is the full 2p x 2p matrix on stacked (centres, ranges)
@@ -203,10 +204,13 @@ class MahalanobisForm:
     is non-degenerate, assembled from the closed block formula.
     """
 
-    h: np.ndarray
-    kept_indices: tuple
-    h_inverse: np.ndarray | None = None
-    q: np.ndarray | None = None
+    __slots__ = _fields = ("h", "kept_indices", "h_inverse", "q")
+
+    def __init__(self, h, kept_indices, h_inverse=None, q=None):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "kept_indices", kept_indices)
+        object.__setattr__(self, "h_inverse", h_inverse)
+        object.__setattr__(self, "q", q)
 
     @property
     def p(self):

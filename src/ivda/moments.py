@@ -18,10 +18,10 @@ zeros split off first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Frozen
 from .errors import DataValidationError, DomainError, NumericFailure
 from .interval import Box, Interval
 from .mallows import MomentSummary, _dist_sq_columns, _latent_moments, _oracle_grid
@@ -63,6 +63,28 @@ def jacobi_eigenvalues(a):
 
 # --- covariance building blocks ------------------------------------------
 
+def _finite(value, what):
+    """``value``, if it is finite throughout; else a NumericFailure. Callers
+    compute under ``np.errstate``, so an overflow reaches the caller as this
+    error and not as numpy warnings."""
+    if not np.isfinite(value).all():
+        raise NumericFailure(f"{what} is not finite: the data overflow")
+    return value
+
+
+def _fsum(values, what):
+    """``math.fsum`` of ``values``, with a NumericFailure where the sum is
+    not finite."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):
+        # fsum raises on an intermediate overflow and on inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NumericFailure(f"{what} is not finite: the data overflow")
+    return total
+
+
 def _covariance_parts(c, r, ddof=0):
     n = c.shape[0]
     if n - ddof <= 0:
@@ -76,22 +98,23 @@ def _covariance_parts(c, r, ddof=0):
     return s_cc, s_rr, s_cr
 
 
-@dataclass(frozen=True)
-class Barycentre:
+class Barycentre(Frozen):
     """Mean box of a dataset plus the attained Frechet variance.
 
     ``centres`` and ``ranges`` hold the exact componentwise means; the box
     view re-derives them from its bounds and may differ in the last bit.
     """
 
-    box: Box
-    centres: np.ndarray
-    ranges: np.ndarray
-    frechet_variance: float
+    __slots__ = _fields = ("box", "centres", "ranges", "frechet_variance")
+
+    def __init__(self, box, centres, ranges, frechet_variance):
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "centres", centres)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "frechet_variance", frechet_variance)
 
 
-@dataclass(frozen=True)
-class SymbolicCovariance:
+class SymbolicCovariance(Frozen):
     """Covariance matrix of an interval dataset with its audit trail.
 
     ``sigma_b`` combines the centre covariances, the Schur product of the
@@ -101,13 +124,17 @@ class SymbolicCovariance:
     records the convention used ("n" or "n-1").
     """
 
-    sigma_b: np.ndarray
-    sigma_cc: np.ndarray
-    sigma_rr: np.ndarray
-    sigma_cr: np.ndarray
-    summary: MomentSummary
-    names: tuple
-    divisor: str = "n"
+    __slots__ = _fields = ("sigma_b", "sigma_cc", "sigma_rr", "sigma_cr", "summary", "names",
+                           "divisor")
+
+    def __init__(self, sigma_b, sigma_cc, sigma_rr, sigma_cr, summary, names, divisor="n"):
+        object.__setattr__(self, "sigma_b", sigma_b)
+        object.__setattr__(self, "sigma_cc", sigma_cc)
+        object.__setattr__(self, "sigma_rr", sigma_rr)
+        object.__setattr__(self, "sigma_cr", sigma_cr)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "divisor", divisor)
 
 
 def sample_barycentre(frame):
@@ -116,14 +143,15 @@ def sample_barycentre(frame):
     if frame.n < 1:
         raise DataValidationError("cannot take the barycentre of an empty frame")
     c, r = frame.checked_centres_ranges()
-    cbar = c.mean(axis=0)
-    rbar = r.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cbar = _finite(c.mean(axis=0), "barycentre")
+        rbar = _finite(r.mean(axis=0), "barycentre")
     box = Box(tuple(Interval.from_centre_range(cb, rb) for cb, rb in zip(cbar, rbar)),
               frame.latents)
     # each row's dist_sq_box to the box, bitwise, from the column engine
     sq = _dist_sq_columns(c.T, r.T, box.centres[:, None], box.ranges[:, None],
                           *_latent_moments(frame.latents))
-    vf = math.fsum(sq.tolist()) / frame.n
+    vf = _fsum(sq.tolist(), "Frechet variance") / frame.n
     return Barycentre(box=box, centres=cbar, ranges=rbar, frechet_variance=vf)
 
 
@@ -133,8 +161,10 @@ def frechet_variance(frame):
         raise DataValidationError("empty frame")
     c, r = frame.checked_centres_ranges()
     psi, delta = _latent_moments(frame.latents)
-    s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=0)
-    return math.fsum((np.diag(s_cc) + delta * np.diag(s_rr) + psi * np.diag(s_cr)).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=0)
+        terms = np.diag(s_cc) + delta * np.diag(s_rr) + psi * np.diag(s_cr)
+    return _fsum(terms.tolist(), "Frechet variance")
 
 
 def symbolic_covariance(frame, ddof=0):
@@ -145,16 +175,19 @@ def symbolic_covariance(frame, ddof=0):
     the diagonal of latent means. When every variable shares one latent,
     E_UU holds its second moment throughout, so the same formula reduces to
     S_CC + delta S_RR plus the mean cross term. ``ddof=1`` switches to the
-    n-1 divisor and is recorded in the result.
+    n-1 divisor and is recorded in the result. A matrix that overflows
+    raises ``NumericFailure``.
     """
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
     c, r = frame.checked_centres_ranges()
     summary = MomentSummary.from_latents(frame.latents)
-    s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=ddof)
-    # S_CR Psi plus its transpose as one term keeps Sigma_B exactly symmetric
-    mean_cross = s_cr * summary.psi
-    sigma = s_cc + 0.25 * (summary.euu * s_rr) + 0.5 * (mean_cross + mean_cross.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=ddof)
+        # S_CR Psi plus its transpose as one term keeps Sigma_B exactly symmetric
+        mean_cross = s_cr * summary.psi
+        sigma = s_cc + 0.25 * (summary.euu * s_rr) + 0.5 * (mean_cross + mean_cross.T)
+    _finite(sigma, "symbolic covariance")
     return SymbolicCovariance(sigma_b=sigma, sigma_cc=s_cc, sigma_rr=s_rr,
                               sigma_cr=s_cr, summary=summary,
                               names=frame.names,
@@ -162,7 +195,8 @@ def symbolic_covariance(frame, ddof=0):
 
 
 def correlation_matrix(sigma, names=None):
-    """D^{-1/2} Sigma D^{-1/2} for a covariance-like symmetric matrix."""
+    """D^{-1/2} Sigma D^{-1/2} for a covariance-like symmetric matrix; a
+    non-finite entry raises ``NumericFailure``."""
     sigma = np.asarray(sigma, dtype=float)
     d = np.diag(sigma)
     bad = np.flatnonzero(d <= 0.0)
@@ -170,7 +204,9 @@ def correlation_matrix(sigma, names=None):
         label = names[bad[0]] if names is not None else str(bad[0])
         raise NumericFailure(f"zero variance for variable {label!r}: no correlation")
     root = np.sqrt(d)
-    corr = sigma / np.outer(root, root)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # checked before the unit diagonal is written, which would hide a NaN
+        corr = _finite(sigma / np.outer(root, root), "correlation")
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -211,10 +247,12 @@ def cov_model7(frame, ddof=0):
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
     c, r = frame.checked_centres_ranges(latents=False)
-    rbar = r.mean(axis=0)
-    s_cc, s_rr, _ = _covariance_parts(c, r, ddof=ddof)
-    second = s_rr + np.outer(rbar, rbar)
-    return s_cc + np.diag(np.diag(second)) / 24.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rbar = r.mean(axis=0)
+        s_cc, s_rr, _ = _covariance_parts(c, r, ddof=ddof)
+        second = s_rr + np.outer(rbar, rbar)
+        sigma = s_cc + np.diag(np.diag(second)) / 24.0
+    return _finite(sigma, "model7 covariance")
 
 
 def frobenius_diff(m1, m2):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,10 @@ from ivda import (
     Uniform,
     latent_from_dict,
 )
+from ivda import cli
 from ivda.cli import _parse_latent_shorthand, main
 from ivda.datasets import bundled_path
-from ivda.errors import DomainError
+from ivda.errors import DomainError, IvdaError
 
 
 @pytest.fixture
@@ -239,6 +241,42 @@ def test_overflowing_distance_exits_3(tmp_path, capsys):
         error = json.loads(stderr)["error"]
         assert error["type"] == "numeric" and "not finite" in error["message"]
     assert not (tmp_path / "d.csv").exists()
+
+
+# two rows whose bounds' sum overflows, and a row whose range does
+_HUGE = {"centre-sum-overflows": "label,x.lo,x.hi\na,1e308,1.7e308\nb,1e308,1.7e308\n",
+         "range-overflows": "label,x.lo,x.hi\na,-1.7e308,1.7e308\nb,0,1\n"}
+
+
+@pytest.mark.parametrize("rows", sorted(_HUGE))
+@pytest.mark.parametrize("command", [
+    ["covariance"], ["correlation"], ["covariance", "--estimator", "model7"], ["barycentre"],
+], ids=["covariance", "correlation", "model7", "barycentre"])
+def test_overflowing_covariance_exits_3(tmp_path, capsys, rows, command):
+    intervals = tmp_path / "huge.csv"
+    intervals.write_text(_HUGE[rows], encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no numpy warning may reach stderr
+        code, stdout, stderr = run_cli(capsys, *command, "--intervals", str(intervals),
+                                       "--latents", "uniform", "--out", str(tmp_path / "o.csv"))
+    assert (code, stdout, len(stderr.splitlines())) == (3, "", 1)
+    error = json.loads(stderr)["error"]
+    assert error["type"] == "numeric" and "not finite" in error["message"]
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_bounds_whose_sum_overflows_through_the_program(tmp_path):
+    # their distance is 0; their covariance overflows; stderr holds one JSON line
+    (tmp_path / "huge.csv").write_text(_HUGE["centre-sum-overflows"], encoding="utf-8")
+    frame = ["--intervals", "huge.csv", "--latents", "uniform"]
+    done = _fresh_python(["-m", "ivda.cli", "distance", *frame, "--out", "d.csv"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "d.csv").read_text(encoding="utf-8") == ",a,b\na,0.0,0.0\nb,0.0,0.0\n"
+    done = _fresh_python(["-m", "ivda.cli", "covariance", *frame, "--out", "c.csv"], tmp_path)
+    assert done.returncode == 3 and len(done.stderr.splitlines()) == 1
+    assert json.loads(done.stderr)["error"] == {
+        "type": "numeric", "message": "symbolic covariance is not finite: the data overflow"}
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_config_file_defaults_with_flag_override(tmp_path, capsys, intervals_csv):
@@ -509,3 +547,49 @@ def test_import_and_main_keep_the_callers_collector(tmp_path):
     assert done.returncode == 0, done.stderr
     before, after = json.loads(done.stdout.splitlines()[-1])
     assert before == after == [True, 0]
+
+
+_SUBCOMMANDS = ["aggregate", "fit", "distance", "barycentre", "covariance", "correlation",
+                "compare", "ellipse", "pairs-data"]
+
+
+def test_a_parser_built_for_its_subcommand_parses_as_the_full_one(tmp_path, capsys,
+                                                                   monkeypatch):
+    # help, usage errors and --config give the same bytes and values whether
+    # every subcommand has its arguments or only those that argv names
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({
+        "out": "o.csv", "threads": 2, "trim": 0.1, "ddof1": True, "estimator": "model7",
+        "latents": "uniform", "method": "kde", "n_points": 7, "x0": "-3,5",
+        "keep-degenerate": True, "unknown": 1}), encoding="utf-8")
+    (tmp_path / "list.json").write_text('{"out": ["a"]}', encoding="utf-8")
+    argvs = [[], ["--help"], ["nope"], ["--bogus"], ["--config"],
+             ["covariance", "distance", "--help"]]
+    for name in _SUBCOMMANDS:
+        argvs += [[name, "--help"], [name, "--nope"], [name, "extra"], [name, "--out"],
+                  [name, "--threads", "x"], [name, "--estimator", "q"], [name, "--ou", "x"],
+                  ["--config", "config.json", name], ["--config", "list.json", name],
+                  ["--config", "config.json", name, "--out", "flag.csv"]]
+
+    def outcomes():
+        out = []
+        for argv in argvs:
+            try:
+                result = vars(cli._parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            except IvdaError as exc:
+                result = repr(exc)
+            captured = capsys.readouterr()
+            out.append((argv, result, captured.out, captured.err))
+        return out
+
+    lazy = outcomes()
+    subparsers = cli._build_parser(["distance"])[1]
+    assert [a.dest for a in subparsers["fit"]._actions] == ["help"]
+    assert [a.dest for a in subparsers["distance"]._actions] == \
+        ["help", "intervals", "latents", "threads", "out"]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    assert outcomes() == lazy

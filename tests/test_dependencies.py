@@ -115,24 +115,25 @@ assert cli.main(sys.argv[1:]) == 0, sys.argv
 print(json.dumps(sorted(sys.modules)))
 """
 
-_BASE = {"errors", "ingest", "interval"}
+_BASE = {"_value", "errors", "ingest", "interval"}
 _DISTANCE = _BASE | {"latent", "quadrature", "mallows"}
 
 
 def test_each_chain_stage_loads_only_its_modules(tmp_path):
     # one fresh process per stage, as the CLI runs them; special is never needed.
     # aggregate runs on plain floats, without numpy, and fit reads no interval
-    # frame
+    # frame. No stage loads dataclasses, nor inspect with it: the value
+    # classes are plain slotted classes
     from ivda.datasets import bundled_path
 
     frame = ["--intervals", str(tmp_path / "iv.csv"), "--latents", str(tmp_path / "fit.json")]
     stages = [
         (["aggregate", "--microdata", str(bundled_path("flights_like_microdata.csv")),
           "--trim", "0.05", "--out", str(tmp_path / "iv.csv"),
-          "--scaled-out", str(tmp_path / "scaled.csv")], {"errors", "ingest"}),
+          "--scaled-out", str(tmp_path / "scaled.csv")], {"_value", "errors", "ingest"}),
         (["fit", "--method", "kde", "--scaled", str(tmp_path / "scaled.csv"),
           "--out", str(tmp_path / "fit.json")],
-         {"errors", "ingest", "estimation", "latent", "quadrature"}),
+         {"_value", "errors", "ingest", "estimation", "latent", "quadrature"}),
         (["distance", *frame, "--out", str(tmp_path / "dist.csv")], _DISTANCE),
         (["covariance", *frame, "--out", str(tmp_path / "cov.csv"),
           "--report-out", str(tmp_path / "report.json")], _DISTANCE | {"moments"}),
@@ -142,6 +143,7 @@ def test_each_chain_stage_loads_only_its_modules(tmp_path):
         assert {m[len("ivda."):] for m in loaded if m.startswith("ivda.")} == \
             expected | {"cli"}, argv[0]
         assert ("numpy" in loaded) == (argv[0] != "aggregate"), argv[0]
+        assert "dataclasses" not in loaded, argv[0]
 
 
 def test_cli_import_loads_no_numpy():

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,20 @@ def test_overflowing_distance_raises(latent):
     wide = IntervalFrame([[-1e308]], [[1e308]], ("x",), latents=(latent,))
     with np.errstate(over="ignore"):
         assert wide.checked_centres_ranges()[1][0, 0] == np.inf
+
+
+def test_bounds_whose_sum_overflows_have_a_finite_centre():
+    # 1e308 + 1.7e308 overflows, but the centre and every distance are finite
+    frame = IntervalFrame([[1e308], [1e308]], [[1.7e308], [1.7e308]], ("x",),
+                          latents=(Uniform(),))
+    centre = 0.5 * 1e308 + 0.5 * 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frame.centres_ranges()[0].tolist() == [[centre], [centre]]
+        assert distance_matrix(frame).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert Interval(np.float64(1e308), np.float64(1.7e308)).centre == centre
+        assert frame.row_box(0).centres.tolist() == [centre]
+        assert dist_sq_box(frame.row_box(0), frame.row_box(1)) == 0.0
 
 
 def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):

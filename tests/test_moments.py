@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ivda import (
     Uniform,
     VariableMicrodata,
     correlation_from_cov,
+    correlation_matrix,
     cov_model7,
     covariance_quantile_oracle,
     cross_moment,
@@ -394,3 +396,30 @@ def test_frobenius_examples(rng):
     value = frobenius_diff(corr_b, corr_7)
     assert value > 0.0
     assert round(value, 3) == pytest.approx(value, abs=5e-4)
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([[1e308], [1e308]], [[1.7e308], [1.7e308]]),
+    ([[-1.7e308], [0.0]], [[1.7e308], [1.0]]),
+], ids=["centre-mean-overflows", "range-overflows"])
+def test_overflowing_moments_raise_without_warnings(lower, upper):
+    frame = IntervalFrame(lower, upper, ("x",), latents=(Uniform(),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimator in (symbolic_covariance, frechet_variance, sample_barycentre, cov_model7):
+            with pytest.raises(NumericFailure, match="not finite: the data overflow"):
+                estimator(frame)
+
+
+def test_non_finite_covariance_has_no_correlation():
+    # the unit diagonal must not hide a NaN variance
+    cov = symbolic_covariance(two_row_uniform_frame())
+    for sigma in ([[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="correlation is not finite"):
+                correlation_matrix(sigma)
+    broken = type(cov)(np.array([[np.nan]]), cov.sigma_cc, cov.sigma_rr, cov.sigma_cr,
+                       cov.summary, cov.names)
+    with pytest.raises(NumericFailure, match="correlation is not finite"):
+        correlation_from_cov(broken)
