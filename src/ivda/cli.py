@@ -2,17 +2,25 @@
 
 Subcommands orchestrate ingestion, latent fitting, distances, barycentres,
 covariance/correlation matrices, and plot-data emission. All numbers come
-from the library modules; this file only parses, wires, and writes. Outputs
-are deterministic: identical inputs and configuration produce byte-identical
-files.
+from the library modules. Outputs are deterministic: identical inputs and
+configuration produce byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric failure. Failures
 emit a machine-readable JSON object on stderr.
 
-Each subcommand imports the library modules it uses when it runs, so one
-process compiles only those: ``aggregate`` never loads the latent, distance
-or covariance code. numpy, too, is imported only where it is used:
-``aggregate`` runs without it, and every other subcommand loads it.
+This module owns the parser, the dispatch, that error contract and
+``run()``. The body of each subcommand lives in a command module that the
+dispatch imports when it runs the subcommand: ``ivda._cmd_aggregate``,
+``ivda._cmd_fit``, ``ivda._cmd_measures`` for the commands that read an
+interval CSV with its latents, or ``ivda._cmd_tools`` for ``compare`` and
+``ellipse``. A body takes the parsed
+arguments and returns the JSON summary that ``main()`` prints. Each command
+module imports the library modules it uses when it runs, so one process
+compiles only those: ``aggregate`` never loads the latent, distance or
+covariance code. numpy, too, is imported only where it is used:
+``aggregate`` runs without it, and every other subcommand loads it. No
+module imports this one, which ``python -m ivda.cli`` runs as
+``__main__``: an import would compile it a second time.
 
 The ``ivda`` program (the console script and ``python -m ivda.cli``) is
 ``run()``: ``main()`` with the cyclic garbage collector off, and its objects
@@ -24,333 +32,11 @@ so in-process callers keep theirs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 from .errors import DataValidationError, DomainError, NumericFailure
-
-# short names for three families; any other shorthand is a family's tag
-_ALIASES = {"invtriangular": "inverted_triangular", "truncnormal": "truncated_normal",
-            "beta": "shifted_beta"}
-
-
-def _parse_latent_shorthand(text):
-    """Parse 'triangular:0', 'beta:0.44,2.15', 'uniform', ... into a dict.
-
-    The parameters are the family's fields in order; a kde needs a sample
-    file, so it has no shorthand.
-    """
-    from .latent import _FAMILIES, Kde
-
-    name, _, params = text.partition(":")
-    name = name.strip().lower()
-    family = _ALIASES.get(name, name)
-    cls = _FAMILIES.get(family)
-    if cls is None or cls is Kde:
-        raise DomainError(f"unknown latent family shorthand {name!r}")
-    keys = cls._fields
-    spec = {"family": family}
-    if params:
-        values = [v for v in params.split(",") if v.strip()]
-        if len(values) > len(keys):
-            raise DomainError(f"too many parameters for latent family {name!r}")
-        for key, value in zip(keys, values):
-            try:
-                spec[key] = float(value)
-            except ValueError:
-                raise DomainError(
-                    f"latent family {name!r}: parameter {value!r} is not a number") from None
-    return spec
-
-
-def _resolve_latents(frame, latents_arg):
-    """Attach latents to a frame from a shorthand or a JSON mapping file.
-
-    Variables whose ranges are all zero receive the degenerate latent
-    automatically, matching the zero-range convention.
-    """
-    import numpy as np
-
-    from .latent import Degenerate, latent_from_dict
-
-    path = Path(latents_arg)
-    if path.suffix == ".json":
-        mapping = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(mapping, dict):
-            raise DataValidationError(f"{path}: latent file must hold a JSON object")
-        resolved = {name: latent_from_dict(spec, base_dir=path.parent)
-                    for name, spec in mapping.items()}
-    else:
-        dist = latent_from_dict(_parse_latent_shorthand(latents_arg))
-        resolved = dict.fromkeys(frame.names, dist)
-    ranges = frame.ranges
-    for j, name in enumerate(frame.names):
-        if np.all(ranges[:, j] == 0.0):
-            resolved[name] = Degenerate()
-    return frame.with_latents(resolved)
-
-
-def _load_valid_frame(path, latents_arg):
-    # validated with its latents, so a latent that does not match its
-    # ranges exits 2 like a bad bound
-    from .ingest import load_interval_csv
-
-    frame = _resolve_latents(load_interval_csv(path), latents_arg)
-    violations = frame.validate()
-    if violations:
-        raise DataValidationError(
-            f"{path}: {len(violations)} validation violation(s)",
-            violations=[v._asdict() for v in violations])
-    return frame
-
-
-def _write_matrix_csv(matrix, names, path):
-    import numpy as np
-
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["", *names])
-        for name, row in zip(names, np.asarray(matrix)):
-            writer.writerow([name, *[repr(float(v)) for v in row]])
-
-
-def _read_matrix_csv(path):
-    import numpy as np
-
-    from .ingest import _read_table
-
-    header, rows = _read_table(path)
-    matrix = []
-    for line, cells in rows:
-        try:
-            matrix.append([float(v) for v in cells[1:]])
-        except ValueError:
-            raise DataValidationError(f"{path}:{line}: a matrix cell is not a number") from None
-    return np.array(matrix), header[1:]
-
-
-def _emit(obj):
-    print(json.dumps(obj, sort_keys=True))
-
-
-def _require(args, *names):
-    # required values may come from the config file, so the parser cannot
-    # enforce them; check after parsing
-    missing = [name for name in names if getattr(args, name, None) is None]
-    if missing:
-        raise DataValidationError(
-            "missing required argument(s): " + ", ".join(f"--{m}" for m in missing))
-
-
-# --- subcommands ----------------------------------------------------------
-
-def _cmd_aggregate(args):
-    # the CSVs come from aggregate's plain floats, so this stage loads no numpy
-    from .ingest import _write_intervals, _write_scaled, aggregate, read_microdata_csv
-
-    _require(args, "microdata", "out")
-    records = read_microdata_csv(args.microdata)
-    result = aggregate(records, trim=args.trim, keep_degenerate=args.keep_degenerate)
-    _write_intervals(args.out, result.names, result.labels, result.lower, result.upper)
-    if args.scaled_out:
-        _write_scaled(args.scaled_out, result.samples)
-    if args.report_out:
-        report = {
-            "rows_kept": len(result.labels),
-            "dropped_rows": [{"row": label, "reasons": reasons}
-                             for label, reasons in result.report.dropped_rows],
-            "trim": args.trim,
-        }
-        Path(args.report_out).write_text(json.dumps(report, sort_keys=True, indent=2),
-                                         encoding="utf-8")
-    _emit({"rows": len(result.labels), "variables": list(result.names),
-           "dropped": len(result.report.dropped_rows)})
-    return 0
-
-
-def _cmd_fit(args):
-    from .estimation import fit_beta_mom, fit_kde, fit_triangular_pearson
-    from .ingest import read_scaled_csv, read_summary_csv
-    from .latent import latent_to_dict
-
-    _require(args, "method", "out")
-    out = {}
-    out_path = Path(args.out)
-    if args.method in ("beta", "kde"):
-        if not args.scaled:
-            raise DataValidationError("fit beta/kde requires --scaled")
-        samples = read_scaled_csv(args.scaled)
-        for name in sorted(samples):
-            sample = samples[name]
-            if args.method == "beta":
-                dist = fit_beta_mom(sample.values)
-                spec = latent_to_dict(dist)
-            else:
-                dist = fit_kde(sample.values, bandwidth=args.bandwidth)
-                sample_path = out_path.with_name(f"{out_path.stem}_{name}_sample.txt")
-                # one "%.18e" line per value, as np.savetxt writes, in one write
-                sample_path.write_text("".join("%.18e\n" % v for v in dist.sample.tolist()),
-                                       encoding="utf-8")
-                spec = latent_to_dict(dist, sample_path=sample_path.name)
-            spec["n_used"] = int(sample.values.size)
-            spec["diagnostics"] = {"mean": float(dist.mean),
-                                   "second_moment": float(dist.second_moment)}
-            out[name] = spec
-    elif args.method == "triangular-pearson":
-        if not args.summaries:
-            raise DataValidationError("fit triangular-pearson requires --summaries")
-        summaries = read_summary_csv(args.summaries)
-        n_tests = len(summaries)
-        for name in sorted(summaries):
-            rows = summaries[name]
-            means = [m for _, m, _, _ in rows]
-            medians = [md for _, _, md, _ in rows]
-            intervals = [iv for _, _, _, iv in rows]
-            dist, estimates = fit_triangular_pearson(
-                means, medians, intervals, alpha=args.alpha, n_tests=n_tests)
-            spec = latent_to_dict(dist)
-            spec["n_used"] = len(rows)
-            spec["diagnostics"] = {"m_hat": estimates.m_hat,
-                                   "symmetric": estimates.symmetric}
-            out[name] = spec
-    else:
-        raise DomainError(f"unknown fit method {args.method!r}")
-    out_path.write_text(json.dumps(out, sort_keys=True, indent=2), encoding="utf-8")
-    _emit({"fitted": sorted(out)})
-    return 0
-
-
-def _cmd_distance(args):
-    from .mallows import distance_matrix
-
-    _require(args, "intervals", "latents", "out")
-    frame = _load_valid_frame(args.intervals, args.latents)
-    matrix = distance_matrix(frame, threads=args.threads)
-    labels = [frame.row_label(i) for i in range(frame.n)]
-    _write_matrix_csv(matrix, labels, args.out)
-    _emit({"rows": frame.n, "out": str(args.out)})
-    return 0
-
-
-def _cmd_barycentre(args):
-    from .ingest import write_interval_csv
-    from .moments import sample_barycentre
-
-    _require(args, "intervals", "latents")
-    frame = _load_valid_frame(args.intervals, args.latents)
-    bary = sample_barycentre(frame)
-    if args.out:
-        bary_frame = type(frame)(
-            [[iv.lower for iv in bary.box.intervals]],
-            [[iv.upper for iv in bary.box.intervals]],
-            frame.names, latents=frame.latents, labels=["barycentre"])
-        write_interval_csv(bary_frame, args.out)
-    _emit({"centres": [float(v) for v in bary.centres],
-           "ranges": [float(v) for v in bary.ranges],
-           "frechet_variance": bary.frechet_variance})
-    return 0
-
-
-def _cmd_covariance(args, correlation=False):
-    from .moments import (
-        correlation_from_cov,
-        correlation_matrix,
-        cov_model7,
-        jacobi_eigenvalues,
-        symbolic_covariance,
-    )
-
-    _require(args, "intervals", "latents", "out")
-    frame = _load_valid_frame(args.intervals, args.latents)
-    ddof = 1 if args.ddof1 else 0
-    if args.estimator == "barycentre":
-        cov = symbolic_covariance(frame, ddof=ddof)
-        matrix = correlation_from_cov(cov) if correlation else cov.sigma_b
-    else:
-        sigma7 = cov_model7(frame, ddof=ddof)
-        matrix = correlation_matrix(sigma7, frame.names) if correlation else sigma7
-    _write_matrix_csv(matrix, frame.names, args.out)
-    if args.report_out and args.estimator == "barycentre":
-        report = {
-            "divisor": cov.divisor,
-            "names": list(cov.names),
-            "sigma_b": cov.sigma_b.tolist(),
-            "sigma_cc": cov.sigma_cc.tolist(),
-            "sigma_rr": cov.sigma_rr.tolist(),
-            "sigma_cr": cov.sigma_cr.tolist(),
-            "psi": cov.summary.psi.tolist(),
-            "delta": cov.summary.delta.tolist(),
-            "euu": cov.summary.euu.tolist(),
-            "min_eigenvalue": float(jacobi_eigenvalues(cov.sigma_b)[0]),
-        }
-        Path(args.report_out).write_text(json.dumps(report, sort_keys=True, indent=2),
-                                         encoding="utf-8")
-    _emit({"variables": list(frame.names), "out": str(args.out),
-           "estimator": args.estimator, "divisor": "n-1" if ddof else "n"})
-    return 0
-
-
-def _cmd_compare(args):
-    from .moments import frobenius_diff
-
-    _require(args, "a", "b")
-    m1, _ = _read_matrix_csv(args.a)
-    m2, _ = _read_matrix_csv(args.b)
-    value = frobenius_diff(m1, m2)
-    _emit({"frobenius": value})
-    return 0
-
-
-def _cmd_ellipse(args):
-    from .interval import Interval
-    from .mallows import iso_distance_set
-
-    _require(args, "x0", "delta", "out")
-    try:
-        lo, hi = (float(v) for v in args.x0.split(","))
-    except ValueError:
-        raise DataValidationError(
-            f"--x0 must be two numbers 'lo,hi', got {args.x0!r}") from None
-    points = iso_distance_set(Interval(lo, hi), args.delta, args.radius,
-                              n_points=args.n_points)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "r"])
-        for c, r in points:
-            writer.writerow([repr(float(c)), repr(float(r))])
-    _emit({"points": len(points), "out": str(args.out)})
-    return 0
-
-
-def _cmd_pairs_data(args):
-    from .moments import sample_barycentre
-
-    _require(args, "intervals", "latents", "out")
-    frame = _load_valid_frame(args.intervals, args.latents)
-    bary = sample_barycentre(frame)
-    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_var", "y_var", "label", "kind",
-                         "x_lo", "x_hi", "y_lo", "y_hi"])
-        for jx in range(frame.p):
-            for jy in range(jx + 1, frame.p):
-                for i in range(frame.n):
-                    writer.writerow([
-                        frame.names[jx], frame.names[jy], frame.row_label(i),
-                        "observation",
-                        repr(float(frame.lower[i, jx])), repr(float(frame.upper[i, jx])),
-                        repr(float(frame.lower[i, jy])), repr(float(frame.upper[i, jy])),
-                    ])
-                bx = bary.box.intervals[jx]
-                by = bary.box.intervals[jy]
-                writer.writerow([frame.names[jx], frame.names[jy], "barycentre",
-                                 "barycentre",
-                                 repr(bx.lower), repr(bx.upper),
-                                 repr(by.lower), repr(by.upper)])
-    _emit({"out": str(args.out), "pairs": frame.p * (frame.p - 1) // 2})
-    return 0
 
 
 # --- parser ---------------------------------------------------------------
@@ -428,21 +114,30 @@ def _pairs_data_args(p):
     p.add_argument("--out")
 
 
-# each subcommand: its name, its help, the function that adds its arguments
-# and the function that runs it
-_SUBCOMMANDS = (
-    ("aggregate", "aggregate microdata into intervals", _aggregate_args, _cmd_aggregate),
-    ("fit", "fit latent distributions", _fit_args, _cmd_fit),
-    ("distance", "pairwise distance matrix", _distance_args, _cmd_distance),
-    ("barycentre", "barycentre and Frechet variance", _barycentre_args, _cmd_barycentre),
-    ("covariance", "symbolic covariance matrix", _covariance_args, _cmd_covariance),
-    ("correlation", "symbolic correlation matrix", _covariance_args,
-     lambda a: _cmd_covariance(a, correlation=True)),
-    ("compare", "Frobenius norm of a matrix difference", _compare_args, _cmd_compare),
-    ("ellipse", "iso-distance ellipse points", _ellipse_args, _cmd_ellipse),
-    ("pairs-data", "rectangle and barycentre coordinates per variable pair",
-     _pairs_data_args, _cmd_pairs_data),
-)
+# each subcommand's help, the function that adds its arguments, the
+# arguments it requires and the module whose function of the subcommand's
+# name (with "_" for "-") runs it. A required value may come from the config
+# file, so the parser cannot enforce it; main() checks after parsing, before
+# the module loads
+_SUBCOMMANDS = {
+    "aggregate": ("aggregate microdata into intervals", _aggregate_args,
+                  ("microdata", "out"), "_cmd_aggregate"),
+    "fit": ("fit latent distributions", _fit_args, ("method", "out"), "_cmd_fit"),
+    "distance": ("pairwise distance matrix", _distance_args,
+                 ("intervals", "latents", "out"), "_cmd_measures"),
+    "barycentre": ("barycentre and Frechet variance", _barycentre_args,
+                   ("intervals", "latents"), "_cmd_measures"),
+    "covariance": ("symbolic covariance matrix", _covariance_args,
+                   ("intervals", "latents", "out"), "_cmd_measures"),
+    "correlation": ("symbolic correlation matrix", _covariance_args,
+                    ("intervals", "latents", "out"), "_cmd_measures"),
+    "compare": ("Frobenius norm of a matrix difference", _compare_args, ("a", "b"),
+                "_cmd_tools"),
+    "ellipse": ("iso-distance ellipse points", _ellipse_args, ("x0", "delta", "out"),
+                "_cmd_tools"),
+    "pairs-data": ("rectangle and barycentre coordinates per variable pair",
+                   _pairs_data_args, ("intervals", "latents", "out"), "_cmd_measures"),
+}
 
 
 def _build_parser(argv=None):
@@ -461,12 +156,11 @@ def _build_parser(argv=None):
     parser.add_argument("--config", help="JSON file of flag values; keys the subcommand "
                                          "does not take are ignored, and flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = set(argv or ()).intersection(name for name, *_ in _SUBCOMMANDS)
-    for name, help_, add_args, func in _SUBCOMMANDS:
+    named = set(argv or ()).intersection(_SUBCOMMANDS)
+    for name, (help_, add_args, *_) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)
         if not named or name in named:
             add_args(p)
-        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -501,7 +195,17 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
-        return args.func(args)
+        _, _, required, module = _SUBCOMMANDS[args.command]
+        missing = [name for name in required if getattr(args, name, None) is None]
+        if missing:
+            raise DataValidationError(
+                "missing required argument(s): " + ", ".join(f"--{m}" for m in missing))
+        func = args.command.replace("-", "_")
+        # the import statement's machinery, unlike importlib's, reports the
+        # module under -X importtime
+        command = getattr(__import__(f"{__package__}.{module}", fromlist=[func]), func)
+        print(json.dumps(command(args), sort_keys=True))
+        return 0
     except NumericFailure as exc:
         json.dump({"error": {"type": "numeric", "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")

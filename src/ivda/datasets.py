@@ -12,7 +12,8 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .ingest import load_interval_csv, read_microdata_csv, read_summary_csv
+from ._tables import load_interval_csv, read_summary_csv
+from .ingest import read_microdata_csv
 
 __all__ = [
     "DATA_ENV",

@@ -4,7 +4,10 @@ Full samples support a parametric beta fit by the method of moments or a
 kernel density estimate; summary statistics alone support the empirical
 mode rule (three medians minus two means) with an exact binomial symmetry
 test; and an explicit family assumption always remains available upstream.
-Every fit is deterministic: no randomness enters any routine here.
+Every fit is deterministic: no randomness enters any routine here. The
+kernel density fit, ``fit_kde``, is defined beside ``Kde`` in
+``ivda.latent`` and re-exported here, so ``fit --method kde`` loads
+neither this module nor the parametric families.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 
 from ._value import Frozen
 from .errors import DataValidationError, DomainError, NumericFailure
-from .latent import Kde, ShiftedBeta, Triangular
+from ._families import ShiftedBeta, Triangular
+from .latent import fit_kde
 
 __all__ = [
     "ModeEstimates",
@@ -52,15 +56,6 @@ def fit_beta_mom(u_samples):
             f"moment condition violated: variance {s2:.6g} >= m(1-m) = {bound:.6g}")
     common = bound / s2 - 1.0
     return ShiftedBeta(alpha=mbar * common, beta=(1.0 - mbar) * common)
-
-
-def fit_kde(u_samples, bandwidth=None):
-    """Reflection-corrected Gaussian kernel density fit to scaled values."""
-    u = np.asarray(u_samples, dtype=float).ravel()
-    if u.size < 10:
-        raise DataValidationError(
-            f"kde fit needs at least 10 values, got {u.size}")
-    return Kde(u, bandwidth=bandwidth)
 
 
 class ModeEstimates(Frozen):

@@ -8,14 +8,19 @@ the distance and covariance machinery downstream needs.
 
 Quantile functions are vectorized over numpy arrays and pure: once built, a
 distribution never mutates (the kernel-density family precomputes its
-density at construction), so values are safe to share across threads. Only
-the truncated-normal and beta families need the special functions, and they
-import them when they use them.
+density at construction), so values are safe to share across threads.
+
+This module owns the base class, ``Uniform``, ``Degenerate``, ``Kde`` with
+its fit (``fit_kde``), the closed-form cross moments, the dispatch of
+``cross_moment`` and the JSON (de)serialisation: everything a chain on
+``Kde`` latents runs. ``Triangular``, ``InvertedTriangular``,
+``TruncatedNormal``, ``ShiftedBeta`` and the table rule for the cross
+moments without a closed form live in ``ivda._families``, which loads on
+the first use of one of them; they still resolve as names of this module.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from pathlib import Path
 
@@ -23,7 +28,6 @@ import numpy as np
 
 from ._value import Frozen
 from .errors import DataValidationError, DomainError, IvdaError, NumericFailure
-from .quadrature import fixed_grid, gauss_weights
 
 __all__ = [
     "LatentDistribution",
@@ -40,10 +44,22 @@ __all__ = [
     "latent_to_dict",
     "latent_from_dict",
     "silverman_bandwidth",
+    "fit_kde",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _GAUSS2 = 1.0 / math.sqrt(3.0)
+
+# the families that ivda._families defines, loaded on first use
+_IN_FAMILIES = ("Triangular", "InvertedTriangular", "TruncatedNormal", "ShiftedBeta")
+
+
+def __getattr__(name):
+    if name not in _IN_FAMILIES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _families
+
+    return getattr(_families, name)
 
 
 class LatentDistribution:
@@ -106,155 +122,6 @@ class Uniform(LatentDistribution, Frozen):
         return 1.0 / 3.0
 
 
-class Triangular(LatentDistribution, Frozen):
-    """Triangular weight on [-1, 1] with mode in [-1, 1].
-
-    mean = mode/3, variance = (mode^2 + 3)/18, so the second moment is
-    (mode^2 + 1)/6.
-    """
-
-    __slots__ = _fields = ("mode",)
-    _defaults = {"mode": 0.0}
-
-    def __init__(self, mode=0.0):
-        if not (-1.0 <= mode <= 1.0) or not math.isfinite(mode):
-            raise DomainError(f"triangular mode must lie in [-1, 1], got {mode}")
-        object.__setattr__(self, "mode", mode)
-
-    def _quantile(self, t):
-        m = self.mode
-        split = 0.5 * (m + 1.0)
-        left = -1.0 + np.sqrt(np.maximum(2.0 * t * (m + 1.0), 0.0))
-        right = 1.0 - np.sqrt(np.maximum(2.0 * (1.0 - t) * (1.0 - m), 0.0))
-        return np.where(t <= split, left, right)
-
-    @property
-    def mean(self):
-        return self.mode / 3.0
-
-    @property
-    def second_moment(self):
-        return (self.mode ** 2 + 1.0) / 6.0
-
-    @property
-    def variance(self):
-        return (self.mode ** 2 + 3.0) / 18.0
-
-    def breakpoints(self):
-        split = 0.5 * (self.mode + 1.0)
-        return (split,) if 0.0 < split < 1.0 else ()
-
-
-class InvertedTriangular(LatentDistribution, Frozen):
-    """V-shaped density |u| on [-1, 1]; mass piles up at the endpoints."""
-
-    __slots__ = ()
-
-    def _quantile(self, t):
-        left = -np.sqrt(np.maximum(1.0 - 2.0 * t, 0.0))
-        right = np.sqrt(np.maximum(2.0 * t - 1.0, 0.0))
-        return np.where(t <= 0.5, left, right)
-
-    @property
-    def mean(self):
-        return 0.0
-
-    @property
-    def second_moment(self):
-        return 0.5
-
-    def breakpoints(self):
-        return (0.5,)
-
-
-class TruncatedNormal(LatentDistribution, Frozen):
-    """Centred normal with pre-truncation variance sigma2, cut to [-1, 1]."""
-
-    # the second moment takes about 12 us to evaluate, and every distance
-    # reads it, so it is computed once into _m2, which is not a field
-    __slots__ = ("sigma2", "_m2")
-    _fields = ("sigma2",)
-    _defaults = {"sigma2": 1.0 / 9.0}
-
-    def __init__(self, sigma2=1.0 / 9.0):
-        if not (sigma2 > 0.0) or not math.isfinite(sigma2):
-            raise DomainError("sigma2 must be a positive real")
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "_m2", self._second_moment())
-
-    def _quantile(self, t):
-        from .special import _norm_ppf_offset, norm_cdf, norm_ppf
-
-        sigma = math.sqrt(self.sigma2)
-        k = 1.0 / sigma
-        if self.sigma2 >= 1.0:
-            # wide sigma: lo + t z would cancel to ~1e-16 sigma absolute, so
-            # invert at the offset (t - 1/2) z from 1/2, with z = erf(k / sqrt 2)
-            z = math.erf(k / math.sqrt(2.0))
-            return np.clip(sigma * _norm_ppf_offset((t - 0.5) * z), -1.0, 1.0)
-        lo = norm_cdf(-k)
-        z = 1.0 - 2.0 * lo
-        # lo + t z near 1 keeps few digits of its distance from 1, so use the
-        # odd symmetry Q(t) = -Q(1 - t), with 1 - t exact for t > 1/2
-        p = lo + np.minimum(t, 1.0 - t) * z
-        # p = lo = 0 at t = 1 once lo underflows (sigma2 below about 1/1400),
-        # where Q(1) is the upper end of the support
-        q = np.where(p > 0.0, sigma * norm_ppf(np.where(p > 0.0, p, 0.5)), -1.0)
-        return np.clip(np.where(t > 0.5, -q, q), -1.0, 1.0)
-
-    @property
-    def mean(self):
-        return 0.0
-
-    @property
-    def second_moment(self):
-        return self._m2
-
-    def _second_moment(self):
-        if self.sigma2 < 1.0:
-            from .special import norm_cdf, norm_pdf
-
-            k = 1.0 / math.sqrt(self.sigma2)
-            z = 2.0 * norm_cdf(k) - 1.0
-            return self.sigma2 * (1.0 - 2.0 * k * norm_pdf(k) / z)
-        # the closed form cancels for wide sigma (off by 7e-5 at sigma2 = 1e8), so
-        # expand exp(-s x^2), s <= 1/2, in both integrals; term 20 is below 1e-22
-        j = np.arange(20)
-        terms = np.cumprod(np.concatenate(([1.0], -0.5 / self.sigma2 / j[1:])))
-        return float(np.sum(terms / (2 * j + 3)) / np.sum(terms / (2 * j + 1)))
-
-
-class ShiftedBeta(LatentDistribution, Frozen):
-    """U = 2W - 1 with W ~ Beta(alpha, beta), mapped onto [-1, 1]."""
-
-    __slots__ = _fields = ("alpha", "beta")
-
-    def __init__(self, alpha, beta):
-        ok = alpha > 0.0 and beta > 0.0
-        if not ok or not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise DomainError("beta shape parameters must be positive reals")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def _quantile(self, t):
-        from .special import betainc_inv
-
-        return 2.0 * betainc_inv(self.alpha, self.beta, t) - 1.0
-
-    @property
-    def mean(self):
-        return (self.alpha - self.beta) / (self.alpha + self.beta)
-
-    @property
-    def variance(self):
-        a, b = self.alpha, self.beta
-        return 4.0 * a * b / ((a + b) ** 2 * (a + b + 1.0))
-
-    @property
-    def second_moment(self):
-        return self.variance + self.mean ** 2
-
-
 class Degenerate(LatentDistribution, Frozen):
     """Point mass at 0; the weight of a zero-range (real-valued) variable."""
 
@@ -298,6 +165,8 @@ def _linear_quantile(ordered, q):
 
 
 _KDE_GRID_SIZE = 4096
+# the most grid steps a Kde's kernel reaches on each side of its centre
+_KDE_MAX_RADIUS = 2 ** 19
 # every Kde reads this one grid, so it is shared and read-only
 _KDE_GRID = np.linspace(-1.0, 1.0, _KDE_GRID_SIZE)
 _KDE_GRID.setflags(write=False)
@@ -318,6 +187,12 @@ class Kde(LatentDistribution):
     below one cell gives about the linear-binned histogram of the sample
     (cdf within 3e-3), and below a tenth of a cell that histogram to
     rounding, so smaller bandwidths change nothing.
+
+    The kernel reaches eight bandwidths from its centre, so its taps and the
+    time to build it grow with the bandwidth. A kernel that would reach more
+    than 2^19 grid steps (a bandwidth above about 32, which builds in about
+    a second) raises ``DomainError``, as does a bandwidth so small (below
+    about 2e-309) that the kernel's peak overflows.
     """
 
     def __init__(self, sample, bandwidth=None):
@@ -406,6 +281,15 @@ class Kde(LatentDistribution):
         return f"Kde(n={self._sample.size}, bandwidth={self._bandwidth:.6g})"
 
 
+def fit_kde(u_samples, bandwidth=None):
+    """Reflection-corrected Gaussian kernel density fit to scaled values."""
+    u = np.asarray(u_samples, dtype=float).ravel()
+    if u.size < 10:
+        raise DataValidationError(
+            f"kde fit needs at least 10 values, got {u.size}")
+    return Kde(u, bandwidth=bandwidth)
+
+
 def _reflected_density(sample, grid, h):
     n = sample.size
     size = grid.size
@@ -418,9 +302,19 @@ def _reflected_density(sample, grid, h):
     np.add.at(weights, idx, 1.0 - frac)
     np.add.at(weights, idx + 1, frac)
 
-    radius = int(math.ceil(8.0 * h / dx))
+    reach = 8.0 * h / dx
+    if not reach <= _KDE_MAX_RADIUS:
+        raise DomainError(
+            f"kde bandwidth {h!r} is too wide: its kernel would reach more than "
+            f"{_KDE_MAX_RADIUS} grid steps (bandwidths up to {_KDE_MAX_RADIUS * dx / 8.0:.6g})")
+    radius = int(math.ceil(reach))
     offsets = np.arange(-radius, radius + 1) * dx
-    kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * _SQRT_2PI)
+    # far below one grid step, (offsets / h) ** 2 overflows to inf off the
+    # centre, where the kernel is zero
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (offsets / h) ** 2) / (h * _SQRT_2PI)
+    if not np.isfinite(kernel).all():
+        raise DomainError(f"kde bandwidth {h!r} is too small: the kernel's peak overflows")
     full = np.convolve(weights, kernel)
 
     # mirror-fold everything back onto grid indices 0..size-1
@@ -453,10 +347,6 @@ def _closed_cross_moment(d1, d2):
     if d1 == d2:
         return d1.second_moment
     pair = {type(d1), type(d2)}
-    if pair == {Uniform, Triangular}:
-        tri = d1 if isinstance(d1, Triangular) else d2
-        # integral of (2t-1) against the triangular quantile, in closed form
-        return (7.0 + tri.mode ** 2) / 30.0
     if pair <= {Kde, Uniform}:
         # both quantiles are linear between the merged cdf knots, so the
         # two-point Gauss rule is exact there; its nodes are interior, clear
@@ -465,51 +355,14 @@ def _closed_cross_moment(d1, d2):
         half = 0.5 * np.diff(t)
         nodes = (t[:-1] + half * (1.0 - _GAUSS2), t[:-1] + half * (1.0 + _GAUSS2))
         return float(np.sum(half * sum(d1._quantile(x) * d2._quantile(x) for x in nodes)))
+    # a pair of other families means that their module is loaded already
+    from ._families import Triangular
+
+    if pair == {Uniform, Triangular}:
+        tri = d1 if isinstance(d1, Triangular) else d2
+        # integral of (2t-1) against the triangular quantile, in closed form
+        return (7.0 + tri.mode ** 2) / 30.0
     return None
-
-
-_CROSS_MOMENT_TOL = 1e-9
-
-# the cross-moment grid: equal panels, a coarser copy for the error check,
-# and a grading towards both ends, where quantiles are often singular
-_TABLE_PANELS = 192
-_CHECK_PANELS = 96
-_TABLE_GRADING = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 3e-2)
-_TABLE_CUTS = frozenset(_TABLE_GRADING) | {1.0 - g for g in _TABLE_GRADING}
-
-
-@functools.lru_cache(maxsize=256)
-def _quantile_table(dist, panels, cuts):
-    """Half-widths of the panels of ``fixed_grid(panels, cuts)`` and the
-    quantiles of ``dist`` at its nodes, one row of 32 per panel; cached."""
-    half, nodes = fixed_grid(panels, cuts)
-    return half, dist._quantile(nodes.ravel()).reshape(nodes.shape)
-
-
-@functools.lru_cache(maxsize=4096)
-def _cached_cross_moment(d1, d2):
-    # the rule is symmetric bit for bit, so both orders share one evaluation
-    if hash(d2) < hash(d1):
-        return _cached_cross_moment(d2, d1)
-    # a Kde quantile kinks at every interior cdf knot; breakpoints() leaves
-    # them out so that they stay off the oracle's grid
-    knots = [d._cdf[1:-1].tolist() for d in (d1, d2) if isinstance(d, Kde)]
-    cuts = tuple(sorted(_TABLE_CUTS.union(d1.breakpoints(), d2.breakpoints(), *knots)))
-    # a grid cut at a Kde's knots serves this pair alone, and its tables hold
-    # about 4.2k x 32 floats (1.1 MB) each, so they are built but not cached
-    table = _quantile_table.__wrapped__ if knots else _quantile_table
-
-    def rule(panels):
-        half, q1 = table(d1, panels, cuts)
-        return float(half @ ((q1 * table(d2, panels, cuts)[1]) @ gauss_weights()))
-
-    value = rule(_TABLE_PANELS)
-    error = abs(value - rule(_CHECK_PANELS))
-    if not error <= _CROSS_MOMENT_TOL:
-        raise NumericFailure(
-            f"cross moment of {d1!r} and {d2!r} not resolved: the {_TABLE_PANELS}- "
-            f"and {_CHECK_PANELS}-panel rules differ by {error:.1e}")
-    return value
 
 
 def cross_moment(d1, d2, method="auto"):
@@ -536,6 +389,8 @@ def cross_moment(d1, d2, method="auto"):
             raise DomainError(
                 f"no closed-form cross moment for {type(d1).__name__} and "
                 f"{type(d2).__name__}")
+    from ._families import _cached_cross_moment
+
     return _cached_cross_moment(d1, d2)
 
 
@@ -555,17 +410,25 @@ def microdata_quantile(c, r, dist, t):
     return c + 0.5 * r * np.asarray(q) if np.ndim(t) else c + 0.5 * r * q
 
 
-# the JSON tag of each family; a parametric family's spec holds its fields,
-# and a Kde's holds the path of its sample file and its bandwidth
+# the JSON tag of each family and its class's name; a parametric family's
+# spec holds its fields, and a Kde's holds the path of its sample file and
+# its bandwidth
 _FAMILIES = {
-    "uniform": Uniform,
-    "triangular": Triangular,
-    "inverted_triangular": InvertedTriangular,
-    "truncated_normal": TruncatedNormal,
-    "shifted_beta": ShiftedBeta,
-    "kde": Kde,
-    "degenerate": Degenerate,
+    "uniform": "Uniform",
+    "triangular": "Triangular",
+    "inverted_triangular": "InvertedTriangular",
+    "truncated_normal": "TruncatedNormal",
+    "shifted_beta": "ShiftedBeta",
+    "kde": "Kde",
+    "degenerate": "Degenerate",
 }
+
+
+def _family(tag):
+    """The class of the family tagged ``tag``, or None for an unknown tag;
+    only a family of ``ivda._families`` loads that module."""
+    name = _FAMILIES.get(tag)
+    return None if name is None else globals().get(name) or __getattr__(name)
 
 
 def latent_to_dict(dist, sample_path=None):
@@ -574,8 +437,8 @@ def latent_to_dict(dist, sample_path=None):
     Kernel-density latents reference their sample through ``sample_path``;
     the caller is responsible for writing the sample file itself.
     """
-    tag = next((tag for tag, cls in _FAMILIES.items() if type(dist) is cls), None)
-    if tag is None:
+    tag = next((tag for tag, name in _FAMILIES.items() if type(dist).__name__ == name), None)
+    if tag is None or _family(tag) is not type(dist):
         raise DomainError(f"cannot serialize latent of type {type(dist).__name__}")
     if tag == "kde":
         if sample_path is None:
@@ -594,7 +457,7 @@ def latent_from_dict(spec, base_dir="."):
     if not isinstance(spec, dict) or "family" not in spec:
         raise DataValidationError("latent spec must be a dict with a 'family' key")
     family = spec["family"]
-    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    cls = _family(family) if isinstance(family, str) else None
     if cls is None:
         raise DataValidationError(f"unknown latent family {family!r}")
     try:

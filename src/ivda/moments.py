@@ -8,11 +8,12 @@ products directly on the fixed grid of ``mallows.oracle_dist_sq`` and is
 the independent check on the closed forms; it reads no latent moment.
 
 Every closed form reads the latent means and second moments through
-``mallows._latent_moments``; only the covariance also needs the cross
-moments, so only it builds a full ``MomentSummary``. Schur products, traces
-and the diagonal scaling behind correlation matrices are plain numpy
-operators; eigenvalues come from ``np.linalg.eigvalsh`` with structural
-zeros split off first.
+``_latent_moments`` of the column engine, ``ivda._engine``; only the
+covariance also needs the cross moments, so only it builds a full
+``MomentSummary``. The oracle loads ``ivda.mallows`` and ``ivda.quadrature``
+only when it is called. Schur products, traces and the diagonal scaling
+behind correlation matrices are plain numpy operators; eigenvalues come
+from ``np.linalg.eigvalsh`` with structural zeros split off first.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from ._value import Frozen
 from .errors import DataValidationError, DomainError, NumericFailure
 from .interval import Box, Interval
-from .mallows import MomentSummary, _dist_sq_columns, _latent_moments, _oracle_grid
-from .quadrature import gauss_weights
+from ._engine import MomentSummary, _dist_sq_columns, _latent_moments
 
 __all__ = [
     "Barycentre",
@@ -225,6 +225,9 @@ def covariance_quantile_oracle(frame, i, j):
     every row shares. Row contributions are combined with compensated
     summation so that results do not depend on evaluation order.
     """
+    from .mallows import _oracle_grid
+    from .quadrature import gauss_weights
+
     if frame.n < 2:
         raise DataValidationError("covariance needs at least two rows")
     c, r = frame.checked_centres_ranges()

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +21,8 @@ from ivda import (
     latent_from_dict,
 )
 from ivda import cli
-from ivda.cli import _parse_latent_shorthand, main
+from ivda._cmd_measures import _parse_latent_shorthand
+from ivda.cli import main
 from ivda.datasets import bundled_path
 from ivda.errors import DomainError, IvdaError
 
@@ -179,6 +182,9 @@ def test_pairs_data_cli(tmp_path, capsys, intervals_csv):
     # 10 variable pairs x (36 observations + 1 barycentre) + header
     assert len(lines) == 1 + 10 * 37
     assert sum(1 for line in lines if ",barycentre," in line) == 10
+    # every coordinate is a plain number, the barycentre's too (not a numpy repr)
+    for row in list(csv.reader(lines))[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row[4:]), row
 
 
 def test_validation_failure_exits_2(tmp_path, capsys):
@@ -510,6 +516,35 @@ def _fresh_python(args, cwd):
     env = {**os.environ, "PYTHONPATH": str(Path(ivda.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
                           text=True)
+
+
+@pytest.mark.parametrize("bandwidth, message", [
+    ("1e300", "too wide"), ("64", "too wide"), ("1e-310", "too small"), ("1e-300", None)])
+def test_fit_bandwidth_keeps_the_error_contract(tmp_path, bandwidth, message):
+    # through the program, so that a numpy warning would reach stderr
+    (tmp_path / "scaled.csv").write_text(
+        "variable,row,value\n" + "".join(f"a,r{k},{k / 10 - 0.95}\n" for k in range(20)),
+        encoding="utf-8")
+    done = _fresh_python(["-m", "ivda.cli", "fit", "--method", "kde", "--scaled", "scaled.csv",
+                          "--bandwidth", bandwidth, "--out", "fit.json"], tmp_path)
+    if message is None:
+        assert (done.returncode, done.stderr) == (0, "")
+        diagnostics = json.loads((tmp_path / "fit.json").read_text())["a"]["diagnostics"]
+        assert all(map(math.isfinite, diagnostics.values()))
+        return
+    assert done.returncode == 2 and len(done.stderr.splitlines()) == 1
+    error = json.loads(done.stderr)["error"]
+    assert error["type"] == "validation" and message in error["message"]
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_ellipse_refuses_a_non_finite_result(tmp_path):
+    done = _fresh_python(["-m", "ivda.cli", "ellipse", "--x0=1e308,1.7e308", "--delta", "1e-300",
+                          "--radius", "1e300", "--out", "e.csv"], tmp_path)
+    assert (done.returncode, done.stdout, len(done.stderr.splitlines())) == (3, "", 1)
+    assert json.loads(done.stderr)["error"] == {
+        "type": "numeric", "message": "iso-distance set is not finite: the data overflow"}
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_the_program_writes_what_main_writes(tmp_path, capsys, monkeypatch):

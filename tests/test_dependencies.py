@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -115,35 +116,71 @@ assert cli.main(sys.argv[1:]) == 0, sys.argv
 print(json.dumps(sorted(sys.modules)))
 """
 
-_BASE = {"_value", "errors", "ingest", "interval"}
-_DISTANCE = _BASE | {"latent", "quadrature", "mallows"}
+_FRAME = {"_value", "errors", "_tables", "interval", "latent", "_cmd_measures"}
+
+
+def _chain_stages(d):
+    """argv of each stage of the KDE chain, writing into ``d``, with the ivda
+    modules besides ``ivda.cli`` that the stage loads. aggregate runs on
+    plain floats, without numpy; fit reads no interval frame and builds no
+    parametric family; distance runs the column engine without the scalar
+    forms of ``mallows``; none of them loads quadrature or special."""
+    from ivda.datasets import bundled_path
+
+    frame = ["--intervals", str(d / "iv.csv"), "--latents", str(d / "fit.json")]
+    return [
+        (["aggregate", "--microdata", str(bundled_path("flights_like_microdata.csv")),
+          "--trim", "0.05", "--out", str(d / "iv.csv"), "--scaled-out", str(d / "scaled.csv")],
+         {"_value", "errors", "_tables", "ingest", "_cmd_aggregate"}),
+        (["fit", "--method", "kde", "--scaled", str(d / "scaled.csv"),
+          "--out", str(d / "fit.json")],
+         {"_value", "errors", "_tables", "latent", "_cmd_fit"}),
+        (["distance", *frame, "--out", str(d / "dist.csv")], _FRAME | {"_engine"}),
+        (["covariance", *frame, "--out", str(d / "cov.csv"),
+          "--report-out", str(d / "report.json")], _FRAME | {"_engine", "moments"}),
+    ]
 
 
 def test_each_chain_stage_loads_only_its_modules(tmp_path):
-    # one fresh process per stage, as the CLI runs them; special is never needed.
-    # aggregate runs on plain floats, without numpy, and fit reads no interval
-    # frame. No stage loads dataclasses, nor inspect with it: the value
-    # classes are plain slotted classes
-    from ivda.datasets import bundled_path
-
-    frame = ["--intervals", str(tmp_path / "iv.csv"), "--latents", str(tmp_path / "fit.json")]
-    stages = [
-        (["aggregate", "--microdata", str(bundled_path("flights_like_microdata.csv")),
-          "--trim", "0.05", "--out", str(tmp_path / "iv.csv"),
-          "--scaled-out", str(tmp_path / "scaled.csv")], {"_value", "errors", "ingest"}),
-        (["fit", "--method", "kde", "--scaled", str(tmp_path / "scaled.csv"),
-          "--out", str(tmp_path / "fit.json")],
-         {"_value", "errors", "ingest", "estimation", "latent", "quadrature"}),
-        (["distance", *frame, "--out", str(tmp_path / "dist.csv")], _DISTANCE),
-        (["covariance", *frame, "--out", str(tmp_path / "cov.csv"),
-          "--report-out", str(tmp_path / "report.json")], _DISTANCE | {"moments"}),
-    ]
-    for argv, expected in stages:
+    # one fresh process per stage, as the CLI runs them. No stage loads
+    # dataclasses, nor inspect with it: the value classes are plain slotted
+    # classes
+    for argv, expected in _chain_stages(tmp_path):
         loaded = _fresh_modules(_STAGE, *argv)
         assert {m[len("ivda."):] for m in loaded if m.startswith("ivda.")} == \
             expected | {"cli"}, argv[0]
         assert ("numpy" in loaded) == (argv[0] != "aggregate"), argv[0]
         assert "dataclasses" not in loaded, argv[0]
+
+
+# AST nodes of ivda source that the four chain stages compile together, with
+# no cached bytecode; 53,311 before each stage's code was split by what it runs
+_COMPILE_BUDGET = 35_000
+
+
+def _nodes(path):
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_the_chain_stages_compile_within_the_budget(tmp_path):
+    # each stage runs as the program does, with ivda.cli as __main__; -X importtime
+    # names every module an import statement loads, and the module set must
+    # be the one above, so no module loaded some other way escapes the count
+    package = Path(ivda.__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    total = 0
+    for argv, expected in _chain_stages(tmp_path):
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "ivda.cli", *argv],
+                              env=env, capture_output=True, text=True, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr[-2000:]
+        imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        ours = {m for m in imported if m == "ivda" or m.startswith("ivda.")}
+        assert "ivda.cli" not in ours, argv[0]
+        assert ours == {"ivda"} | {f"ivda.{m}" for m in expected}, argv[0]
+        total += _nodes(package / "cli.py") + _nodes(package / "__init__.py")
+        total += sum(_nodes(package / f"{m}.py") for m in expected)
+    assert total <= _COMPILE_BUDGET
 
 
 def test_cli_import_loads_no_numpy():

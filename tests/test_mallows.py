@@ -30,8 +30,9 @@ from ivda import (
     sample_barycentre,
     symbolic_covariance,
 )
+from ivda._engine import _ROW_BLOCK
 from ivda.errors import DomainError, NumericFailure
-from ivda.mallows import _ROW_BLOCK, MomentSummary
+from ivda.mallows import MomentSummary
 from ivda.moments import jacobi_eigenvalues
 
 from conftest import make_interval_arrays, make_latent, make_mixed_frame
@@ -361,6 +362,7 @@ def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):
         raise AssertionError(f"cross moment of {d1!r} and {d2!r} requested")
 
     monkeypatch.setattr("ivda.mallows.cross_moment", refuse)
+    monkeypatch.setattr("ivda._engine.cross_moment", refuse)
     frame = make_mixed_frame(rng, 9)
     assert distance_matrix(frame).shape == (9, 9)
     assert sample_barycentre(frame).frechet_variance > 0.0

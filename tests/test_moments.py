@@ -32,8 +32,9 @@ from ivda import (
     sample_barycentre,
     symbolic_covariance,
 )
+from ivda._families import _cached_cross_moment
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda.latent import _cached_cross_moment, _closed_cross_moment
+from ivda.latent import _closed_cross_moment
 
 from conftest import ALL_FAMILIES, make_frame, make_latent, make_mixed_frame
 
@@ -305,10 +306,11 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
         raise AssertionError("an oracle reached the closed-form path")
 
     for target in ("ivda.latent.cross_moment", "ivda.mallows.cross_moment",
-                   "ivda.mallows._latent_moments", "ivda.moments._latent_moments",
-                   "ivda.mallows._dist_sq_columns", "ivda.moments._dist_sq_columns",
-                   "ivda.mallows.MomentSummary.from_latents",
-                   "ivda.latent._cached_cross_moment"):
+                   "ivda._engine.cross_moment", "ivda.mallows._latent_moments",
+                   "ivda._engine._latent_moments", "ivda.moments._latent_moments",
+                   "ivda._engine._dist_sq_columns", "ivda.moments._dist_sq_columns",
+                   "ivda._engine.MomentSummary.from_latents",
+                   "ivda._families._cached_cross_moment"):
         monkeypatch.setattr(target, closed_form)
     for i in range(frame.p):
         for j in range(i, frame.p):
