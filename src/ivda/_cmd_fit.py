@@ -22,15 +22,19 @@ def fit(args):
         if not args.scaled:
             raise DataValidationError("fit beta/kde requires --scaled")
         if args.method == "beta":
-            from .estimation import fit_beta_mom
+            from .estimation import fit_beta_mom as fit_one
+        else:
+            def fit_one(values):
+                return fit_kde(values, bandwidth=args.bandwidth)
         samples = read_scaled_csv(args.scaled)
-        for name in sorted(samples):
-            sample = samples[name]
+        # every variable is fitted before any file is written, so a fit that
+        # fails leaves no sample file behind
+        fitted = [(samples[name], fit_one(samples[name].values)) for name in sorted(samples)]
+        for sample, dist in fitted:
+            name = sample.variable
             if args.method == "beta":
-                dist = fit_beta_mom(sample.values)
                 spec = latent_to_dict(dist)
             else:
-                dist = fit_kde(sample.values, bandwidth=args.bandwidth)
                 sample_path = out_path.with_name(f"{out_path.stem}_{name}_sample.txt")
                 # one "%.18e" line per value, as np.savetxt writes, in one write
                 sample_path.write_text("".join("%.18e\n" % v for v in dist.sample.tolist()),

@@ -63,6 +63,10 @@ class Triangular(LatentDistribution, Frozen):
         split = 0.5 * (self.mode + 1.0)
         return (split,) if 0.0 < split < 1.0 else ()
 
+    def _uniform_cross_moment(self):
+        # integral of (2t-1) against the triangular quantile, in closed form
+        return (7.0 + self.mode ** 2) / 30.0
+
 
 class InvertedTriangular(LatentDistribution, Frozen):
     """V-shaped density |u| on [-1, 1]; mass piles up at the endpoints."""

@@ -9,6 +9,8 @@ field tuple and refuses assignment with ``dataclasses.FrozenInstanceError``,
 so its ``__init__`` sets each field with ``object.__setattr__``.
 """
 
+from operator import attrgetter
+
 __all__ = ["Value", "Frozen"]
 
 
@@ -18,8 +20,18 @@ class Value:
     __slots__ = ()
     _fields = ()
 
-    def _astuple(self):
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _key(value) is the field tuple, which equality, hashing and copies
+        # read: one C call where attrgetter returns a tuple, which takes two
+        # fields or more
+        fields = cls._fields
+        if len(fields) > 1:
+            cls._key = attrgetter(*fields)
+        elif fields:
+            cls._key = staticmethod(lambda value, get=attrgetter(*fields): (get(value),))
+        else:
+            cls._key = staticmethod(lambda value: ())
 
     def _asdict(self):
         return {name: getattr(self, name) for name in self._fields}
@@ -27,7 +39,7 @@ class Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self._key(self) == self._key(other)
 
     __hash__ = None
 
@@ -50,7 +62,7 @@ class Frozen(Value):
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise _frozen("assign to", name)
@@ -61,4 +73,4 @@ class Frozen(Value):
     def __reduce__(self):
         # copies and pickles are rebuilt through __init__, since the default
         # would assign each slot
-        return self.__class__, self._astuple()
+        return self.__class__, self._key(self)

@@ -248,12 +248,25 @@ class IntervalFrame:
 
         return np.array([isinstance(lat, Degenerate) for lat in self.latents], dtype=bool)
 
+    @cached_property
+    def _checked(self):
+        # the engines' (c, r), checked once per frame and read-only, as they
+        # share it; a refused frame caches nothing, so it raises every time
+        c, r = self._check(latents=True)
+        c.setflags(write=False)
+        r.setflags(write=False)
+        return c, r
+
     def checked_centres_ranges(self, latents=True):
         """``centres_ranges`` of a valid frame: finite, ordered bounds, and
         ranges zero exactly on a ``Degenerate`` latent, as ``row_box`` and
         ``validate`` require. The first bad cell raises a DomainError naming
         its row and variable. ``latents=False`` checks the bounds alone, for
-        an estimator that reads no latent: any range may be zero."""
+        an estimator that reads no latent: any range may be zero. With
+        latents, the arrays are read-only, and each frame checks them once."""
+        return self._checked if latents else self._check(latents=False)
+
+    def _check(self, latents):
         if latents:
             self.require_latents()
         c, r = self.centres_ranges()

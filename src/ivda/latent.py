@@ -104,6 +104,10 @@ class LatentDistribution:
         """Interior t values where the quantile function is not smooth."""
         return ()
 
+    def _uniform_cross_moment(self):
+        """The cross moment with ``Uniform`` in closed form, where known."""
+        return None
+
 
 class Uniform(LatentDistribution, Frozen):
     """Continuous uniform weight on [-1, 1]."""
@@ -341,13 +345,16 @@ def _merged_knots(a, b):
     return t[keep]
 
 
+# the families whose quantiles are linear between knots
+_LINEAR = (Kde, Uniform)
+
+
 def _closed_cross_moment(d1, d2):
     if isinstance(d1, Degenerate) or isinstance(d2, Degenerate):
         return 0.0
     if d1 == d2:
         return d1.second_moment
-    pair = {type(d1), type(d2)}
-    if pair <= {Kde, Uniform}:
+    if type(d1) in _LINEAR and type(d2) in _LINEAR:
         # both quantiles are linear between the merged cdf knots, so the
         # two-point Gauss rule is exact there; its nodes are interior, clear
         # of the jump a quantile makes where the cdf is flat
@@ -355,13 +362,10 @@ def _closed_cross_moment(d1, d2):
         half = 0.5 * np.diff(t)
         nodes = (t[:-1] + half * (1.0 - _GAUSS2), t[:-1] + half * (1.0 + _GAUSS2))
         return float(np.sum(half * sum(d1._quantile(x) * d2._quantile(x) for x in nodes)))
-    # a pair of other families means that their module is loaded already
-    from ._families import Triangular
-
-    if pair == {Uniform, Triangular}:
-        tri = d1 if isinstance(d1, Triangular) else d2
-        # integral of (2t-1) against the triangular quantile, in closed form
-        return (7.0 + tri.mode ** 2) / 30.0
+    if type(d1) is Uniform:
+        return d2._uniform_cross_moment()
+    if type(d2) is Uniform:
+        return d1._uniform_cross_moment()
     return None
 
 

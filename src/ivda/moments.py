@@ -149,8 +149,9 @@ def sample_barycentre(frame):
     box = Box(tuple(Interval.from_centre_range(cb, rb) for cb, rb in zip(cbar, rbar)),
               frame.latents)
     # each row's dist_sq_box to the box, bitwise, from the column engine
-    sq = _dist_sq_columns(c.T, r.T, box.centres[:, None], box.ranges[:, None],
-                          *_latent_moments(frame.latents))
+    sq = np.zeros(frame.n)
+    _dist_sq_columns(c.T, r.T, box.centres[:, None], box.ranges[:, None],
+                     *_latent_moments(frame.latents), sq, np.empty((4, frame.n)))
     vf = _fsum(sq.tolist(), "Frechet variance") / frame.n
     return Barycentre(box=box, centres=cbar, ranges=rbar, frechet_variance=vf)
 

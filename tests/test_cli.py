@@ -538,6 +538,20 @@ def test_fit_bandwidth_keeps_the_error_contract(tmp_path, bandwidth, message):
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_failed_kde_fit_writes_no_file(tmp_path):
+    # variable a fits, b has too few values: a failed command leaves nothing,
+    # not even the sample file of the variable that fitted first
+    (tmp_path / "scaled.csv").write_text(
+        "variable,row,value\n" + "".join(f"a,r{k},{k / 10 - 0.95}\n" for k in range(20))
+        + "".join(f"b,r{k},{k / 5 - 0.4}\n" for k in range(5)), encoding="utf-8")
+    done = _fresh_python(["-m", "ivda.cli", "fit", "--method", "kde", "--scaled", "scaled.csv",
+                          "--out", "fit.json"], tmp_path)
+    assert (done.returncode, done.stdout, len(done.stderr.splitlines())) == (2, "", 1)
+    assert json.loads(done.stderr)["error"] == {
+        "type": "validation", "message": "kde fit needs at least 10 values, got 5"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scaled.csv"]
+
+
 def test_ellipse_refuses_a_non_finite_result(tmp_path):
     done = _fresh_python(["-m", "ivda.cli", "ellipse", "--x0=1e308,1.7e308", "--delta", "1e-300",
                           "--radius", "1e300", "--out", "e.csv"], tmp_path)

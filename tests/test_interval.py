@@ -87,6 +87,40 @@ def test_frame_centres_ranges():
     assert np.allclose(r, [[0.0, 2.0]])
 
 
+def test_engines_share_one_read_only_check_per_frame(monkeypatch):
+    calls = []
+    split = IntervalFrame.centres_ranges
+
+    def counted(frame):
+        calls.append(frame)
+        return split(frame)
+
+    monkeypatch.setattr(IntervalFrame, "centres_ranges", counted)
+    frame = IntervalFrame([[0.0, 1.0], [2.0, 2.0]], [[1.0, 3.0], [4.0, 5.0]], ("a", "b"),
+                          latents=(Uniform(), Triangular(0.5)))
+    for engine in (distance_matrix, sample_barycentre, symbolic_covariance):
+        engine(frame)
+    assert calls == [frame]
+    c, r = frame.checked_centres_ranges()
+    assert not c.flags.writeable and not r.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        r[0, 0] = 0.0
+    # a bounds-only check is not the engines' one
+    assert frame.checked_centres_ranges(latents=False)[1].flags.writeable
+    # a refused frame is checked, and refused, on every call
+    calls.clear()
+    bad = frame.with_latents({"a": Degenerate()})
+    for engine in (distance_matrix, sample_barycentre, symbolic_covariance, distance_matrix):
+        with pytest.raises(DomainError, match="row 0, variable a"):
+            engine(bad)
+    assert calls == [bad] * 4
+    # new latents make a new frame, which checks its bounds again
+    calls.clear()
+    again = bad.with_latents({"a": Uniform()})
+    assert distance_matrix(again).tolist() == distance_matrix(frame).tolist()
+    assert calls == [again]
+
+
 def test_validate_reports_order_violation():
     lower = np.zeros((5, 3))
     upper = np.ones((5, 3))

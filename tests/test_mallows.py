@@ -336,6 +336,16 @@ def test_overflowing_distance_raises(latent):
     with pytest.raises(NumericFailure, match="not finite"), \
             np.errstate(over="ignore", invalid="ignore"):
         dist_sq_box(frame.row_box(0), frame.row_box(1))
+    # dc * dc overflows with dr = 0; with Uniform's psi = 0 the engine skips
+    # the psi * dc * dr term and the clamp, and the inf must still be refused
+    far = IntervalFrame([[-2.0 ** 664], [2.0 ** 664]],
+                        [[-2.0 ** 664 + 2.0 ** 620], [2.0 ** 664 + 2.0 ** 620]], ("x",),
+                        latents=(latent,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (distance_matrix, sample_barycentre):
+            with pytest.raises(NumericFailure, match="not finite"):
+                call(far)
     # finite bounds whose range overflows still pass the row check
     wide = IntervalFrame([[-1e308]], [[1e308]], ("x",), latents=(latent,))
     with np.errstate(over="ignore"):
