@@ -19,10 +19,11 @@ Which module owns what:
 - ``ingest``: the microdata reader and the aggregation. ``_tables``: every
   CSV format and ``ScaledSample``, re-exported by ``ingest``.
 - ``latent``: the latent base class, ``Uniform``, ``Degenerate``, ``Kde``
-  and ``fit_kde``, the closed-form cross moments, ``cross_moment`` and the
-  JSON (de)serialisation. ``_families``: the triangular, inverted
-  triangular, truncated-normal and beta families and the table rule for
-  cross moments without a closed form, re-exported by ``latent``.
+  and ``fit_kde``, the closed-form cross moments, ``cross_moment`` (which
+  routes each pair) and the JSON (de)serialisation. ``_families``: the
+  triangular, inverted triangular, truncated-normal and beta families,
+  which ``latent`` re-exports, and the table rule for cross moments
+  without a closed form.
 - ``_engine``: the column engine (``distance_matrix``, ``MomentSummary``)
   that every vectorised distance and covariance runs. ``mallows``: the
   published scalar distance forms, their oracle, the Mahalanobis form and

@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from ._value import Frozen
+from ._value import Record
 from .errors import DomainError, NumericFailure
 from .latent import cross_moment
 
@@ -48,7 +48,7 @@ def _latent_moments(latents):
     return psi, delta
 
 
-class MomentSummary(Frozen):
+class MomentSummary(Record):
     """First and second latent moments of a p-dimensional latent vector.
 
     psi holds the means, delta the second moments over four, and euu the
@@ -72,14 +72,6 @@ class MomentSummary(Frozen):
         for i, j in itertools.combinations(range(len(latents)), 2):
             euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
         return cls(psi=psi, delta=delta, euu=euu)
-
-    @property
-    def p(self):
-        return self.psi.size
-
-    @property
-    def variances(self):
-        return 4.0 * self.delta - self.psi ** 2
 
 
 # rows per distance-matrix block: a fixed size bounds the buffers at five

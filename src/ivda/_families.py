@@ -2,10 +2,11 @@
 for cross moments that have no closed form.
 
 ``Triangular``, ``InvertedTriangular``, ``TruncatedNormal`` and
-``ShiftedBeta`` live here, with the graded fixed-grid quadrature that
-``cross_moment`` falls back on. ``ivda.latent`` re-exports the four
-families and loads this module on first use, so a chain that runs on
-``Kde`` latents, whose cross moments are closed, never compiles it. Only
+``ShiftedBeta`` live here, with ``_cached_cross_moment``, the graded
+fixed-grid quadrature for every cross moment without a closed form, a
+route that ``ivda.latent.cross_moment`` decides. ``ivda.latent`` re-exports
+the four families and loads this module on first use, so a chain that runs
+on ``Kde`` latents, whose cross moments are closed, never compiles it. Only
 the truncated-normal and beta families need the special functions, and
 they import them when they use them.
 """
@@ -153,9 +154,9 @@ class ShiftedBeta(LatentDistribution, Frozen):
     __slots__ = _fields = ("alpha", "beta")
 
     def __init__(self, alpha, beta):
-        ok = alpha > 0.0 and beta > 0.0
-        if not ok or not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise DomainError("beta shape parameters must be positive reals")
+        # a finite sum of positive shapes keeps both, and the mean, finite
+        if not (alpha > 0.0 and beta > 0.0 and math.isfinite(alpha + beta)):
+            raise DomainError("beta shape parameters must be positive reals with a finite sum")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -171,7 +172,10 @@ class ShiftedBeta(LatentDistribution, Frozen):
     @property
     def variance(self):
         a, b = self.alpha, self.beta
-        return 4.0 * a * b / ((a + b) ** 2 * (a + b + 1.0))
+        try:
+            return 4.0 * a * b / ((a + b) ** 2 * (a + b + 1.0))
+        except OverflowError:       # (a + b) ** 2 overflows past a + b of about 1.3e154
+            return 4.0 * (a / (a + b)) * (b / (a + b)) / (a + b + 1.0)
 
     @property
     def second_moment(self):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from ._value import Frozen
+from ._value import Record
 from .errors import DataValidationError, DomainError
 
 __all__ = [
@@ -35,7 +35,7 @@ def _check_scaled(variable, values):
         raise DataValidationError(f"scaled values for {variable!r} must lie in [-1, 1]")
 
 
-class ScaledSample(Frozen):
+class ScaledSample(Record):
     """Microdata of one variable mapped onto [-1, 1], with row provenance.
 
     Every value must be finite and within 1e-9 of [-1, 1]; it is clamped

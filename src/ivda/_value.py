@@ -6,12 +6,14 @@ from a class-level field table, ``_fields``, that names the fields in
 and their field tuples are equal, and the repr is the dataclass one. A
 plain ``Value`` is mutable and unhashable; a ``Frozen`` one hashes its
 field tuple and refuses assignment with ``dataclasses.FrozenInstanceError``,
-so its ``__init__`` sets each field with ``object.__setattr__``.
+so its ``__init__`` sets each field with ``object.__setattr__``. A
+``Record`` is a ``Frozen`` value whose fields may hold arrays, so it
+compares and hashes by identity, as ``@dataclass(eq=False)`` would.
 """
 
 from operator import attrgetter
 
-__all__ = ["Value", "Frozen"]
+__all__ = ["Value", "Frozen", "Record"]
 
 
 class Value:
@@ -74,3 +76,11 @@ class Frozen(Value):
         # copies and pickles are rebuilt through __init__, since the default
         # would assign each slot
         return self.__class__, self._key(self)
+
+
+class Record(Frozen):
+    """A ``Frozen`` value compared and hashed by identity."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__

@@ -206,21 +206,15 @@ def main(argv=None):
         command = getattr(__import__(f"{__package__}.{module}", fromlist=[func]), func)
         print(json.dumps(command(args), sort_keys=True))
         return 0
-    except NumericFailure as exc:
-        json.dump({"error": {"type": "numeric", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except DataValidationError as exc:
-        payload = {"type": "validation", "message": str(exc)}
-        if exc.violations:
+    except (NumericFailure, DataValidationError, DomainError, OSError,
+            json.JSONDecodeError) as exc:
+        numeric = isinstance(exc, NumericFailure)
+        payload = {"type": "numeric" if numeric else "validation", "message": str(exc)}
+        if getattr(exc, "violations", None):
             payload["violations"] = exc.violations
         json.dump({"error": payload}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
-        json.dump({"error": {"type": "validation", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return 3 if numeric else 2
 
 
 def run():

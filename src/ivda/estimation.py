@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._value import Frozen
+from ._value import Record
 from .errors import DataValidationError, DomainError, NumericFailure
 from ._families import ShiftedBeta, Triangular
 from .latent import fit_kde
@@ -58,7 +58,7 @@ def fit_beta_mom(u_samples):
     return ShiftedBeta(alpha=mbar * common, beta=(1.0 - mbar) * common)
 
 
-class ModeEstimates(Frozen):
+class ModeEstimates(Record):
     """Per-row empirical modes of one variable plus their average."""
 
     __slots__ = _fields = ("modes", "m_hat", "symmetric")
@@ -141,7 +141,7 @@ def fit_triangular_pearson(means, medians, intervals, alpha=0.05, n_tests=1):
     return Triangular(mode=float(np.clip(mode, -1.0, 1.0))), estimates
 
 
-class VariableMicrodata(Frozen):
+class VariableMicrodata(Record):
     """Per-variable microdata information for the moment summary.
 
     Either a fitted latent, a scaled sample, or both. When both exist the

@@ -11,12 +11,12 @@ distribution never mutates (the kernel-density family precomputes its
 density at construction), so values are safe to share across threads.
 
 This module owns the base class, ``Uniform``, ``Degenerate``, ``Kde`` with
-its fit (``fit_kde``), the closed-form cross moments, the dispatch of
-``cross_moment`` and the JSON (de)serialisation: everything a chain on
-``Kde`` latents runs. ``Triangular``, ``InvertedTriangular``,
-``TruncatedNormal``, ``ShiftedBeta`` and the table rule for the cross
-moments without a closed form live in ``ivda._families``, which loads on
-the first use of one of them; they still resolve as names of this module.
+its fit (``fit_kde``), the closed-form cross moments, ``cross_moment``,
+which decides each pair's route (the closed form, else the table rule),
+and the JSON (de)serialisation: everything a chain on ``Kde`` latents runs.
+``Triangular``, ``InvertedTriangular``, ``TruncatedNormal``, ``ShiftedBeta``
+and the table rule live in ``ivda._families``, which loads on the first
+use of one of them; the four families still resolve as names of this module.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ class Kde(LatentDistribution):
     mirrored back in, which keeps the estimate supported on [-1, 1]. The cdf
     is the linear interpolant of the integrated density on that grid, so the
     quantile, the first two moments and the cross moments with another
-    ``Kde`` or a ``Uniform`` are exact finite sums on the grid, and
-    ``cross_moment(..., method="closed")`` accepts those pairs.
+    ``Kde`` or a ``Uniform`` are exact finite sums on the grid, so
+    ``cross_moment`` gives those pairs in closed form.
 
     The grid's cells, 2/4095 wide, are its resolution limit: a bandwidth
     below one cell gives about the linear-binned histogram of the sample
@@ -369,33 +369,30 @@ def _closed_cross_moment(d1, d2):
     return None
 
 
-def cross_moment(d1, d2, method="auto"):
+def cross_moment(d1, d2):
     """Comonotone product moment: the integral of q1(t) * q2(t) over (0, 1).
 
     Symmetric in its arguments; equals the second moment when the two
-    distributions coincide. ``method`` selects between the closed forms
-    known for specific pairs ("closed"), fixed composite Gauss-Legendre
-    quadrature of the product of quantile functions ("quadrature"), or
-    closed-form-with-fallback ("auto", the default). Any pair of ``Kde``
-    and ``Uniform`` is closed. Quadrature is a dot product of the two
-    latents' quantile tables on a graded grid cut at their breakpoints and
-    at any ``Kde``'s cdf knots. It raises ``NumericFailure`` when the rule
-    on half as many panels differs by more than 1e-9, and its results are
-    cached per pair.
+    distributions coincide. Each pair takes one route: the closed form
+    where one is known (a ``Degenerate`` latent, two equal latents, any pair
+    of ``Kde`` and ``Uniform``, and ``Uniform`` with ``Triangular``), else
+    the table rule of ``ivda._families``, a dot product of the two latents'
+    quantile tables on a graded grid cut at their breakpoints and at any
+    ``Kde``'s cdf knots. The rule raises ``NumericFailure`` when the rule on
+    half as many panels differs by more than 1e-9; its results are cached
+    per pair.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown cross_moment method {method!r}")
-    if method != "quadrature":
-        closed = _closed_cross_moment(d1, d2)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise DomainError(
-                f"no closed-form cross moment for {type(d1).__name__} and "
-                f"{type(d2).__name__}")
-    from ._families import _cached_cross_moment
+    closed = _closed_cross_moment(d1, d2)
+    return closed if closed is not None else _table_rule(d1, d2)
 
-    return _cached_cross_moment(d1, d2)
+
+def _table_rule(d1, d2):
+    # the first pair without a closed form loads ivda._families and binds
+    # its cached rule in this function's place, so no later call imports
+    global _table_rule
+    from ._families import _cached_cross_moment as _table_rule
+
+    return _table_rule(d1, d2)
 
 
 def quantile_correlation(d1, d2):

@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
-from ._value import Frozen
+from ._value import Record
 from .errors import DomainError, NumericFailure
 from ._engine import MomentSummary, _latent_moments, distance_matrix
-from .latent import cross_moment
+from .latent import cross_moment, quantile_correlation
 
 __all__ = [
     "dist_sq_general",
@@ -75,8 +75,7 @@ def dist_sq_musigma(x1, u1, x2, u2):
     s2 = 0.5 * r2 * math.sqrt(max(v2, 0.0))
     value = (mu1 - mu2) ** 2 + (s1 - s2) ** 2
     if s1 > 0.0 and s2 > 0.0:
-        rho = (cross_moment(u1, u2) - u1.mean * u2.mean) / math.sqrt(v1 * v2)
-        value += 2.0 * s1 * s2 * (1.0 - rho)
+        value += 2.0 * s1 * s2 * (1.0 - quantile_correlation(u1, u2))
     return _clamp(value)
 
 
@@ -147,7 +146,7 @@ def oracle_dist_sq(x1, u1, x2, u2):
     return float(np.sum(half * ((diff * diff) @ gauss_weights())))
 
 
-class MahalanobisForm(Frozen):
+class MahalanobisForm(Record):
     """The quadratic form that reproduces the squared box distance.
 
     ``h`` is the full 2p x 2p matrix on stacked (centres, ranges)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._value import Frozen
+from ._value import Record
 from .errors import DataValidationError, DomainError, NumericFailure
 from .interval import Box, Interval
 from ._engine import MomentSummary, _dist_sq_columns, _latent_moments
@@ -98,7 +98,7 @@ def _covariance_parts(c, r, ddof=0):
     return s_cc, s_rr, s_cr
 
 
-class Barycentre(Frozen):
+class Barycentre(Record):
     """Mean box of a dataset plus the attained Frechet variance.
 
     ``centres`` and ``ranges`` hold the exact componentwise means; the box
@@ -114,7 +114,7 @@ class Barycentre(Frozen):
         object.__setattr__(self, "frechet_variance", frechet_variance)
 
 
-class SymbolicCovariance(Frozen):
+class SymbolicCovariance(Record):
     """Covariance matrix of an interval dataset with its audit trail.
 
     ``sigma_b`` combines the centre covariances, the Schur product of the

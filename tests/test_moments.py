@@ -310,7 +310,7 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
                    "ivda._engine._latent_moments", "ivda.moments._latent_moments",
                    "ivda._engine._dist_sq_columns", "ivda.moments._dist_sq_columns",
                    "ivda._engine.MomentSummary.from_latents",
-                   "ivda._families._cached_cross_moment"):
+                   "ivda._families._cached_cross_moment", "ivda.latent._table_rule"):
         monkeypatch.setattr(target, closed_form)
     for i in range(frame.p):
         for j in range(i, frame.p):

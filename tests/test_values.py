@@ -1,6 +1,8 @@
 """The value classes compare, hash, print and refuse assignment as the
 ``@dataclass`` classes they replace did: each repr below is the dataclass
-one, and equality and hashing go by the tuple of fields."""
+one, and equality and hashing go by the tuple of fields, except for the
+records whose fields may hold arrays, which go by identity as with
+``@dataclass(eq=False)``."""
 
 import copy
 import dataclasses
@@ -25,12 +27,12 @@ from ivda import (
     latent_from_dict,
     latent_to_dict,
 )
-from ivda._value import Frozen, Value
+from ivda._value import Frozen, Record, Value
 from ivda.cli import main
 from ivda.estimation import ModeEstimates, VariableMicrodata
 from ivda.ingest import AggregateResult, AggregationReport, MicroRecord, ScaledSample, aggregate
 from ivda.interval import Violation
-from ivda.mallows import MahalanobisForm, MomentSummary
+from ivda.mallows import MahalanobisForm, MomentSummary, mahalanobis_form
 from ivda.moments import Barycentre, SymbolicCovariance, sample_barycentre, symbolic_covariance
 
 
@@ -77,15 +79,24 @@ _VALUES = {
     "Barycentre": (lambda: sample_barycentre(_frame()), None),
     "SymbolicCovariance": (lambda: symbolic_covariance(_frame()), None),
 }
-# a field of each class holding a numpy array makes its hash raise, as before
-_ARRAY_HELD = {"MomentSummary", "MahalanobisForm", "ModeEstimates", "ScaledSample",
-               "Barycentre", "SymbolicCovariance"}
+# the records whose fields may hold arrays, each built here with arrays of
+# several entries, which have no truth value and no hash
+_RECORDS = {
+    "MomentSummary": lambda: MomentSummary.from_latents([Uniform(), Triangular(0.2)]),
+    "Barycentre": lambda: sample_barycentre(_frame()),
+    "SymbolicCovariance": lambda: symbolic_covariance(_frame()),
+    "MahalanobisForm": lambda: mahalanobis_form(_frame().latents),
+    "ModeEstimates": lambda: ModeEstimates(modes=np.array([0.5, -0.25]), m_hat=0.125),
+    "ScaledSample": lambda: ScaledSample("x", [0.5, -0.5]),
+    "VariableMicrodata": lambda: VariableMicrodata("x", sample=[0.5, -0.5]),
+}
 _MUTABLE = {"AggregationReport", "AggregateResult"}
 
 
 def test_every_value_class_is_covered():
     classes = {cls.__name__ for base in (Frozen, Value) for cls in _subclasses(base)}
-    assert classes - {"Frozen"} == set(_VALUES)
+    assert classes - {"Frozen", "Record"} == set(_VALUES)
+    assert {cls.__name__ for cls in _subclasses(Record)} == set(_RECORDS)
 
 
 def _subclasses(cls):
@@ -101,20 +112,27 @@ def test_repr_equality_and_hash(name):
     assert type(value).__name__ == name
     if shown is not None:
         assert repr(value) == shown
-    # equal to a rebuilt value, and never to a value of another class, even
-    # one with the same fields
-    if name not in {"Barycentre", "SymbolicCovariance"}:   # their arrays have 2 entries
-        assert value == build()
+    # never equal to a value of another class, even one with the same fields
     assert value != (Degenerate() if name == "Uniform" else Uniform())
+    if name in _RECORDS:
+        return                      # see test_records_compare_and_hash_by_identity
+    # equal to a rebuilt value
+    assert value == build()
     fields = tuple(getattr(value, field) for field in type(value)._fields)
-    if name in _ARRAY_HELD:
-        with pytest.raises(TypeError, match="unhashable type: 'numpy.ndarray'"):
-            hash(value)
-    elif name in _MUTABLE:
+    if name in _MUTABLE:
         with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
             hash(value)
     else:
         assert hash(value) == hash(fields) == hash(build())
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_compare_and_hash_by_identity(name):
+    value, twin = _RECORDS[name](), _RECORDS[name]()
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert hash(value) == object.__hash__(value)
+    assert len({value, twin, value}) == 2
 
 
 @pytest.mark.parametrize("name", sorted(set(_VALUES) - _MUTABLE))
@@ -128,11 +146,14 @@ def test_frozen_values_refuse_assignment(name):
     assert not hasattr(value, "__dict__")
 
 
-@pytest.mark.parametrize("name", sorted(set(_VALUES) - _ARRAY_HELD - _MUTABLE))
+@pytest.mark.parametrize("name", sorted(set(_VALUES) - _MUTABLE))
 def test_frozen_values_copy_and_pickle(name):
     value = _VALUES[name][0]()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert twin == value and hash(twin) == hash(value)
+        if name in _RECORDS:        # equal to itself alone, so compare what it holds
+            assert twin is not value and repr(twin) == repr(value)
+        else:
+            assert twin == value and hash(twin) == hash(value)
     if name == "TruncatedNormal":
         assert pickle.loads(pickle.dumps(value)).second_moment == value.second_moment
 
