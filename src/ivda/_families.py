@@ -173,9 +173,13 @@ class ShiftedBeta(LatentDistribution, Frozen):
     def variance(self):
         a, b = self.alpha, self.beta
         try:
-            return 4.0 * a * b / ((a + b) ** 2 * (a + b + 1.0))
+            den = (a + b) ** 2 * (a + b + 1.0)
         except OverflowError:       # (a + b) ** 2 overflows past a + b of about 1.3e154
-            return 4.0 * (a / (a + b)) * (b / (a + b)) / (a + b + 1.0)
+            den = math.inf
+        if den < math.inf:
+            return 4.0 * a * b / den
+        # past a + b of about 5.6e102 the denominator is inf, so scale first
+        return 4.0 * (a / (a + b)) * (b / (a + b)) / (a + b + 1.0)
 
     @property
     def second_moment(self):

@@ -262,8 +262,10 @@ def _write_matrix_csv(matrix, names, path):
     """Write a square matrix with ``names`` as its header and row labels."""
     import numpy as np
 
+    # one row of Python floats at a time; the whole matrix's would take four
+    # times its bytes
     _write_csv(path, ["", *names],
-               (((name,), row) for name, row in zip(names, np.asarray(matrix).tolist())))
+               (((name,), row.tolist()) for name, row in zip(names, np.asarray(matrix))))
 
 
 def _read_matrix_csv(path):

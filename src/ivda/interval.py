@@ -171,9 +171,10 @@ class IntervalFrame:
         self._upper = upper
         self._lower.setflags(write=False)
         self._upper.setflags(write=False)
-        self.names = names
-        self.latents = latents
-        self.labels = labels
+        # read-only, as the frame caches its check against them
+        self._names = names
+        self._latents = latents
+        self._labels = labels
 
     @property
     def n(self):
@@ -190,6 +191,18 @@ class IntervalFrame:
     @property
     def upper(self):
         return self._upper
+
+    @property
+    def names(self):
+        return self._names
+
+    @property
+    def latents(self):
+        return self._latents
+
+    @property
+    def labels(self):
+        return self._labels
 
     def centres_ranges(self):
         """(n, p) matrices of centres and ranges; an exact arithmetic split.

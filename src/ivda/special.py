@@ -2,9 +2,10 @@
 
 Only what the distribution families need: the standard normal cdf/quantile
 pair and the regularized incomplete beta function with its inverse. All
-functions are vectorized over numpy arrays, accept plain floats, and rely on
-the standard library for the underlying transcendentals (``math.erf`` and
-friends), so no dependency beyond numpy is introduced.
+functions are vectorized over numpy arrays and accept plain floats. The
+normal quantile is Wichura's AS 241, one rational evaluation per point; the
+cdf and the beta functions rely on the standard library's ``math.erfc`` and
+``math.lgamma``, so no dependency beyond numpy is introduced.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# ufunc wrappers keep tail accuracy of the libm implementations
+# ufunc wrapper keeps the tail accuracy of the libm implementation
 _erfc_u = np.frompyfunc(math.erfc, 1, 1)
-_erf_u = np.frompyfunc(math.erf, 1, 1)
 
 
 def _maybe_scalar(out, like):
@@ -52,16 +52,31 @@ def norm_cdf(x):
     return _maybe_scalar(out, x)
 
 
-# Acklam's rational approximation of the normal quantile, refined below.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_PPF_SPLIT = 0.02425
+# Wichura's AS 241 (Applied Statistics 37, 1988, 477-484): a rational
+# approximation of the normal quantile in each of three regions, each
+# accurate to about 1e-16. (numerator, denominator) coefficients, highest
+# power first, as in CPython's statistics.NormalDist.inv_cdf.
+_PPF_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_PPF_TAIL = (       # sqrt(-log q) in (1.6, 5], in its offset from 1.6
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0))
+_PPF_FAR = (        # sqrt(-log q) > 5, in its offset from 5
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0))
 
 
 def _poly(coeffs, x):
@@ -71,59 +86,38 @@ def _poly(coeffs, x):
     return out
 
 
-def _ppf_central(r):
-    # Acklam's central branch, in the offset r = q - 1/2
-    s = r * r
-    return r * _poly(_PPF_A, s) / (_poly(_PPF_B, s) * s + 1.0)
+def _ratio(coeffs, x):
+    num, den = coeffs
+    return _poly(num, x) / _poly(den, x)
 
 
 def _norm_ppf_offset(r):
-    """Phi^{-1}(1/2 + r) for |r| < 1/2 - 0.02425, without forming 1/2 + r.
+    """Phi^{-1}(1/2 + r) for |r| <= 0.425, without forming 1/2 + r.
 
-    Callers whose probability is a small offset from 1/2 keep its full
-    relative accuracy this way; the Halley steps use Phi(x) - 1/2 =
-    erf(x / sqrt 2) / 2, which has no cancellation either.
+    AS 241's central branch is a function of the offset itself, so callers
+    whose probability is a small offset from 1/2 keep its full relative
+    accuracy.
     """
     r = np.asarray(r, dtype=float)
-    x = _ppf_central(r)
-    for _ in range(2):
-        err = 0.5 * np.asarray(_erf_u(x / _SQRT2), dtype=float) - r
-        u = err * _SQRT_2PI * np.exp(0.5 * x * x)
-        x = x - u / (1.0 + 0.5 * x * u)
-    return x
-
-
-def _ppf_lower_half(q):
-    # q in (0, 0.5]; result is <= 0
-    x = np.empty_like(q)
-    tail = q < _PPF_SPLIT
-    if np.any(tail):
-        u = np.sqrt(-2.0 * np.log(q[tail]))
-        x[tail] = _poly(_PPF_C, u) / (_poly(_PPF_D, u) * u + 1.0)
-    mid = ~tail
-    if np.any(mid):
-        x[mid] = _ppf_central(q[mid] - 0.5)
-    # two Halley refinements; skipped where exp(x^2/2) would overflow
-    for _ in range(2):
-        safe = x > -37.0
-        xs = x[safe]
-        err = 0.5 * np.asarray(_erfc_u(-xs / _SQRT2), dtype=float) - q[safe]
-        u = err * _SQRT_2PI * np.exp(0.5 * xs * xs)
-        x[safe] = xs - u / (1.0 + 0.5 * xs * u)
-    return x
+    s = 0.180625 - r * r
+    return r * _poly(_PPF_CENTRAL[0], s) / _poly(_PPF_CENTRAL[1], s)
 
 
 def norm_ppf(p):
     """Standard normal quantile for p in (0, 1).
 
     Built symmetrically from the lower half so that norm_ppf(p) and
-    -norm_ppf(1 - p) agree to machine precision.
+    -norm_ppf(1 - p) agree bit for bit.
     """
     arr = np.asarray(p, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
         raise DomainError("norm_ppf requires probabilities in (0, 1)")
-    lower = np.minimum(arr, 1.0 - arr)
-    x = _ppf_lower_half(np.atleast_1d(lower))
+    q = np.atleast_1d(np.minimum(arr, 1.0 - arr))
+    x = np.empty_like(q)            # the lower half's quantile, <= 0
+    central = q - 0.5 >= -0.425
+    x[central] = _norm_ppf_offset(q[central] - 0.5)
+    u = np.sqrt(-np.log(q[~central]))
+    x[~central] = -np.where(u > 5.0, _ratio(_PPF_FAR, u - 5.0), _ratio(_PPF_TAIL, u - 1.6))
     out = np.where(np.atleast_1d(arr) <= 0.5, x, -x).reshape(arr.shape)
     return _maybe_scalar(out, p)
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from ivda import (
     write_interval_csv,
     write_scaled_csv,
 )
+from ivda._tables import _read_matrix_csv, _write_matrix_csv
 from ivda.cli import main
 from ivda.datasets import credit_card_intervals
 from ivda.errors import DataValidationError, DomainError
@@ -174,6 +176,24 @@ def test_interval_csv_disordered_bounds_survive_to_validate(tmp_path):
     frame = load_interval_csv(path)
     rules = [v.rule for v in frame.validate()]
     assert "order" in rules
+
+
+def test_matrix_csv_is_written_one_row_at_a_time(tmp_path):
+    n = 400
+    matrix = np.random.default_rng(7).uniform(0.0, 10.0, (n, n))
+    names = [f"v{i}" for i in range(n)]
+    tracemalloc.start()
+    try:
+        matrix.tolist()
+        whole = tracemalloc.get_traced_memory()[1]      # about 5 MB of Python floats
+        tracemalloc.reset_peak()
+        _write_matrix_csv(matrix, names, tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 4
+    back, header = _read_matrix_csv(tmp_path / "m.csv")
+    assert list(header) == names and np.array_equal(back, matrix)
 
 
 def test_microdata_csv_roundtrip(tmp_path):

@@ -121,6 +121,21 @@ def test_engines_share_one_read_only_check_per_frame(monkeypatch):
     assert calls == [again]
 
 
+@pytest.mark.parametrize("field, value", [("names", ("x", "y")),
+                                          ("latents", (Degenerate(), Uniform())),
+                                          ("labels", ("r0", "r1"))])
+def test_frame_fields_are_read_only(field, value):
+    # the frame caches its check against its fields, so a field assigned after
+    # the check would leave that check stale
+    frame = IntervalFrame([[0.0, 1.0], [2.0, 2.0]], [[1.0, 3.0], [4.0, 5.0]], ("a", "b"),
+                          latents=(Uniform(), Triangular(0.5)))
+    distance_matrix(frame)
+    with pytest.raises(AttributeError):
+        setattr(frame, field, value)
+    assert frame.names == ("a", "b") and frame.labels is None
+    assert frame.latents == (Uniform(), Triangular(0.5))
+
+
 def test_validate_reports_order_violation():
     lower = np.zeros((5, 3))
     upper = np.ones((5, 3))

@@ -19,6 +19,7 @@ from ivda import (
     cross_moment,
     latent_from_dict,
     latent_to_dict,
+    mahalanobis_form,
     microdata_quantile,
     quantile_correlation,
     silverman_bandwidth,
@@ -359,8 +360,21 @@ def test_shifted_beta_moments_stay_finite_at_huge_shapes(alpha, beta):
 
 @pytest.mark.parametrize("alpha, beta", [(0.44, 2.15), (1e-300, 3.0), (1e150, 2.0), (9e153, 4e153)])
 def test_shifted_beta_variance_keeps_its_formula_where_it_is_finite(alpha, beta):
-    expected = 4.0 * alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1.0))
+    s = alpha + beta
+    expected = 4.0 * alpha * beta / (s ** 2 * (s + 1.0))
+    if s ** 2 * (s + 1.0) == math.inf:
+        # the formula gives 0 there; the scaled form is the variance
+        expected = 4.0 * (alpha / s) * (beta / s) / (s + 1.0)
+        assert expected > 0.0
     assert ShiftedBeta(alpha, beta).variance == expected
+
+
+def test_shifted_beta_variance_is_not_zero_where_its_denominator_overflows():
+    # (a + b) ** 2 * (a + b + 1) is inf for a + b between about 5.6e102 and
+    # 1.3e154, without an OverflowError
+    assert ShiftedBeta(5e119, 5e119).variance == pytest.approx(1.0 / (1e120 + 1.0),
+                                                              rel=1e-15, abs=0.0)
+    assert mahalanobis_form((ShiftedBeta(5e119, 5e119),)).kept_indices == (0, 1)
 
 
 def test_shifted_beta_shapes_need_a_finite_sum():

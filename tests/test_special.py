@@ -1,11 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from ivda import special
+from ivda import TruncatedNormal, special
 from ivda.errors import DomainError, NumericFailure
-from ivda.special import betainc, betainc_inv, norm_cdf, norm_ppf
+from ivda.special import _norm_ppf_offset, betainc, betainc_inv, norm_cdf, norm_ppf
 
 
 def test_norm_cdf_known_values():
@@ -25,6 +26,74 @@ def test_norm_ppf_symmetric():
     p = np.linspace(0.001, 0.999, 999)
     asym = norm_ppf(p) + norm_ppf(1.0 - p)
     assert np.max(np.abs(asym)) < 1e-12
+    # bit for bit wherever 1 - p is exact
+    p = _ppf_sweep()
+    p = p[1.0 - (1.0 - p) == p]
+    assert np.array_equal(norm_ppf(p), -norm_ppf(1.0 - p))
+
+
+def _ppf_sweep():
+    """Fixed-seed probabilities: uniform, log-uniform down to the smallest
+    subnormal, within 2^-50 of 1/2 and within 1e-15 of 1."""
+    rng = np.random.default_rng(241)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 1000),
+                        10.0 ** rng.uniform(-323.3, math.log10(0.5), 1000),
+                        0.5 + rng.uniform(-1.0, 1.0, 300) * 2.0 ** -50,
+                        1.0 - rng.uniform(0.0, 1e-15, 300),
+                        [5e-324, 0.5 - 1e-8, 0.075, 0.5, 0.925]])
+    return p[(p > 0.0) & (p < 1.0)]
+
+
+def test_norm_ppf_matches_the_standard_library():
+    # statistics.NormalDist.inv_cdf evaluates AS 241 one point at a time
+    p = _ppf_sweep()
+    expected = np.array([statistics.NormalDist().inv_cdf(v) for v in p.tolist()])
+    assert np.all(np.abs(norm_ppf(p) - expected) <= 4 * np.spacing(np.abs(expected)))
+
+
+def test_norm_ppf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    p = _ppf_sweep()
+    with mpmath.workdps(40):
+        def reference(v):
+            # three Newton steps from the standard library's value
+            x = mpmath.mpf(statistics.NormalDist().inv_cdf(v))
+            for _ in range(3):
+                x -= (mpmath.ncdf(x) - v) / mpmath.npdf(x)
+            return float(x)
+
+        expected = np.array([reference(v) for v in p.tolist()])
+        r = np.concatenate([np.linspace(-0.425, 0.425, 301),
+                            10.0 ** np.linspace(-300.0, -1.0, 100)])
+        offset = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(v)))
+                           for v in r.tolist()])
+    np.testing.assert_allclose(norm_ppf(p), expected, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(_norm_ppf_offset(r), offset, rtol=1e-15, atol=0.0)
+
+
+def test_norm_ppf_matches_scipy():
+    scipy_special = pytest.importorskip("scipy.special")
+    p = _ppf_sweep()
+    np.testing.assert_allclose(norm_ppf(p), scipy_special.ndtri(p), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.44, 2.15), (1.08, 2.65), (0.5, 0.5), (5.0, 0.3),
+                                  (30.0, 30.0), (0.02, 50.0)])
+def test_betainc_matches_scipy(a, b):
+    scipy_special = pytest.importorskip("scipy.special")
+    x = np.linspace(0.0, 1.0, 1001)
+    np.testing.assert_allclose(betainc(a, b, x), scipy_special.betainc(a, b, x),
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("sigma2", [1e-6, 1e-3, 0.01, 1.0 / 9.0, 0.25, 0.999, 1.0, 4.0])
+def test_truncated_normal_second_moment_matches_scipy(sigma2):
+    # scipy's truncnorm moments cancel at wider sigma; the mpmath reference
+    # in test_latent covers those
+    scipy_stats = pytest.importorskip("scipy.stats")
+    k = 1.0 / math.sqrt(sigma2)
+    expected = scipy_stats.truncnorm(-k, k, scale=math.sqrt(sigma2)).var()
+    assert TruncatedNormal(sigma2).second_moment == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_norm_ppf_domain():
