@@ -1,11 +1,12 @@
-"""The commands that read an interval CSV with its latents and compute the
-paper's measures: ``distance``, ``barycentre``, ``covariance``,
-``correlation`` and ``pairs-data``.
+"""The chain's commands that read an interval CSV with its latents and
+compute the paper's measures: ``distance``, ``covariance`` and
+``correlation``, and the matrix CSV they write.
 
 Each command imports the library modules it runs when it runs: ``distance``
 loads the column engine (``ivda._engine``) and not ``ivda.mallows``, and no
 command loads a parametric family (``ivda._families``) unless a latent
-names one.
+names one. ``barycentre`` and ``pairs-data`` read their frame through
+``_load_valid_frame`` too, from ``ivda._cmd_tools``.
 """
 
 from __future__ import annotations
@@ -13,40 +14,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import DataValidationError, DomainError
-
-# short names for three families; any other shorthand is a family's tag
-_ALIASES = {"invtriangular": "inverted_triangular", "truncnormal": "truncated_normal",
-            "beta": "shifted_beta"}
+from .errors import DataValidationError
 
 
-def _parse_latent_shorthand(text):
-    """Parse 'triangular:0', 'beta:0.44,2.15', 'uniform', ... into a dict.
-
-    The parameters are the family's fields in order; a kde needs a sample
-    file, so it has no shorthand.
-    """
-    from .latent import Kde, _family
-
-    name, _, params = text.partition(":")
-    name = name.strip().lower()
-    family = _ALIASES.get(name, name)
-    cls = _family(family)
-    if cls is None or cls is Kde:
-        raise DomainError(f"unknown latent family shorthand {name!r}")
-    keys = cls._fields
-    spec = {"family": family}
-    if params:
-        values = [v for v in params.split(",") if v.strip()]
-        if len(values) > len(keys):
-            raise DomainError(f"too many parameters for latent family {name!r}")
-        for key, value in zip(keys, values):
-            try:
-                spec[key] = float(value)
-            except ValueError:
-                raise DomainError(
-                    f"latent family {name!r}: parameter {value!r} is not a number") from None
-    return spec
+def _frame_args(p):
+    p.add_argument("--intervals", help="interval CSV input")
+    p.add_argument("--latents",
+                   help="latent spec: JSON mapping file or shorthand like "
+                        "'triangular:0', 'uniform', 'beta:0.44,2.15'")
 
 
 def _resolve_latents(frame, latents_arg):
@@ -67,6 +42,8 @@ def _resolve_latents(frame, latents_arg):
         resolved = {name: latent_from_dict(spec, base_dir=path.parent)
                     for name, spec in mapping.items()}
     else:
+        from ._cmd_tools import _parse_latent_shorthand
+
         dist = latent_from_dict(_parse_latent_shorthand(latents_arg))
         resolved = dict.fromkeys(frame.names, dist)
     ranges = frame.ranges
@@ -79,7 +56,7 @@ def _resolve_latents(frame, latents_arg):
 def _load_valid_frame(path, latents_arg):
     # validated with its latents, so a latent that does not match its
     # ranges exits 2 like a bad bound
-    from ._tables import load_interval_csv
+    from .interval import load_interval_csv
 
     frame = _resolve_latents(load_interval_csv(path), latents_arg)
     violations = frame.validate()
@@ -90,9 +67,45 @@ def _load_valid_frame(path, latents_arg):
     return frame
 
 
+def _write_matrix_csv(matrix, names, path):
+    """Write a square matrix with ``names`` as its header and row labels.
+
+    The bytes are those of ``csv.writer``: each label is quoted once, as
+    ``csv`` quotes it, and each row is written as the label, the
+    ``,``-joined shortest round-trip reprs of its numbers and ``\\r\\n``,
+    one row of Python floats at a time (the whole matrix's would take four
+    times its bytes).
+    """
+    import csv
+    import io
+
+    import numpy as np
+
+    cell = io.StringIO()
+    quote = csv.writer(cell)
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["", *names])
+        for name, row in zip(names, np.asarray(matrix)):
+            cell.seek(0)
+            cell.truncate()
+            quote.writerow((name, ""))
+            fh.write(f"{cell.getvalue()[:-3]},{','.join(map(repr, row.tolist()))}\r\n")
+
+
+def _distance_args(p):
+    _frame_args(p)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads that share out the matrix's fixed row blocks; "
+                        "the output is the same for any count. Each call starts a new "
+                        "pool, so on 2 CPUs two threads are slower than one at 200 rows "
+                        "and save about 20%% of the matrix's time at 1000 rows and "
+                        "30-40%% from 2000 rows; writing the CSV takes far longer than "
+                        "the matrix (default %(default)s)")
+    p.add_argument("--out")
+
+
 def distance(args):
     from ._engine import distance_matrix
-    from ._tables import _write_matrix_csv
 
     frame = _load_valid_frame(args.intervals, args.latents)
     matrix = distance_matrix(frame, threads=args.threads)
@@ -101,39 +114,32 @@ def distance(args):
     return {"rows": frame.n, "out": str(args.out)}
 
 
-def barycentre(args):
-    from ._tables import write_interval_csv
-    from .moments import sample_barycentre
-
-    frame = _load_valid_frame(args.intervals, args.latents)
-    bary = sample_barycentre(frame)
-    if args.out:
-        bary_frame = type(frame)(
-            [[iv.lower for iv in bary.box.intervals]],
-            [[iv.upper for iv in bary.box.intervals]],
-            frame.names, latents=frame.latents, labels=["barycentre"])
-        write_interval_csv(bary_frame, args.out)
-    return {"centres": [float(v) for v in bary.centres],
-            "ranges": [float(v) for v in bary.ranges],
-            "frechet_variance": bary.frechet_variance}
+def _covariance_args(p):
+    _frame_args(p)
+    p.add_argument("--estimator", choices=["barycentre", "model7"], default="barycentre",
+                   help="model7: the diagonal comparison estimator (default %(default)s)")
+    p.add_argument("--ddof1", action="store_true",
+                   help="use the n-1 divisor instead of n")
+    p.add_argument("--out")
+    p.add_argument("--report-out", help="JSON audit report (barycentre only)")
 
 
 def covariance(args, correlation=False):
-    from ._tables import _write_matrix_csv
-    from .moments import (
-        correlation_from_cov,
-        correlation_matrix,
-        cov_model7,
-        jacobi_eigenvalues,
-        symbolic_covariance,
-    )
+    from .moments import jacobi_eigenvalues, symbolic_covariance
 
     frame = _load_valid_frame(args.intervals, args.latents)
     ddof = 1 if args.ddof1 else 0
     if args.estimator == "barycentre":
         cov = symbolic_covariance(frame, ddof=ddof)
-        matrix = correlation_from_cov(cov) if correlation else cov.sigma_b
+        if correlation:
+            from .moments import correlation_from_cov
+
+            matrix = correlation_from_cov(cov)
+        else:
+            matrix = cov.sigma_b
     else:
+        from .moments import correlation_matrix, cov_model7
+
         sigma7 = cov_model7(frame, ddof=ddof)
         matrix = correlation_matrix(sigma7, frame.names) if correlation else sigma7
     _write_matrix_csv(matrix, frame.names, args.out)
@@ -156,28 +162,8 @@ def covariance(args, correlation=False):
             "estimator": args.estimator, "divisor": "n-1" if ddof else "n"}
 
 
+_correlation_args = _covariance_args
+
+
 def correlation(args):
     return covariance(args, correlation=True)
-
-
-def pairs_data(args):
-    from ._tables import _write_csv
-    from .moments import sample_barycentre
-
-    frame = _load_valid_frame(args.intervals, args.latents)
-    bary = sample_barycentre(frame)
-    lower, upper = frame.lower, frame.upper
-
-    def rows():
-        for jx in range(frame.p):
-            for jy in range(jx + 1, frame.p):
-                pair = (frame.names[jx], frame.names[jy])
-                for i in range(frame.n):
-                    yield ((*pair, frame.row_label(i), "observation"),
-                           (lower[i, jx], upper[i, jx], lower[i, jy], upper[i, jy]))
-                bx, by = bary.box.intervals[jx], bary.box.intervals[jy]
-                yield (*pair, "barycentre", "barycentre"), (bx.lower, bx.upper, by.lower, by.upper)
-
-    _write_csv(args.out, ["x_var", "y_var", "label", "kind", "x_lo", "x_hi", "y_lo", "y_hi"],
-               rows())
-    return {"out": str(args.out), "pairs": frame.p * (frame.p - 1) // 2}

@@ -4,74 +4,43 @@ and latent moments.
 ``distance_matrix``, the barycentre's Frechet variance and the symbolic
 covariance all read one set of column quantities: the frame's checked
 centres and ranges, which the frame computes once and keeps read-only, and
-the latent moments (psi, delta and, for the covariance, E_UU) from here,
-through ``_latent_moments`` and ``MomentSummary``. ``_dist_sq_columns``
-runs on column-major (centres, ranges) arrays and adds into a total; the
-caller passes the total and the work buffers. Each column shares one
-latent, so it adds dc^2 + E[U] dc dr + E[U^2]/4 dr^2 to every squared
-distance, evaluated in place in ``mallows.dist_sq_iid``'s operation order
-and summed in ``mallows.dist_sq_box``'s column order, which makes every
-entry bitwise equal to the scalar form's; a column whose latent mean is
-exactly 0 skips the mean term and the clamp, which change no bit there. The distance
-matrix is symmetric bit for bit, so only its upper triangle is computed,
-in fixed row blocks that threads may share out, and mirrored; the block
-size does not depend on the thread count, so neither do the results. A
-squared distance that overflows raises ``NumericFailure`` rather than
+the latent moments (psi, delta and, for the covariance, E_UU), through
+``ivda.latent._latent_moments`` and ``ivda.moments.MomentSummary``.
+``_dist_sq_columns`` runs on column-major (centres, ranges) arrays and adds
+into a total; the caller passes the total and the work buffers. Each column
+shares one latent, so it adds dc^2 + E[U] dc dr + E[U^2]/4 dr^2 to every
+squared distance, evaluated in place in ``mallows.dist_sq_iid``'s operation
+order and summed in ``mallows.dist_sq_box``'s column order, which makes
+every entry bitwise equal to the scalar form's; a column whose latent mean
+is exactly 0 skips the mean term and the clamp, which change no bit there.
+The distance matrix is symmetric bit for bit, so only its upper triangle is
+computed, in fixed row blocks that threads may share out, and mirrored; the
+block size does not depend on the thread count, so neither do the results.
+A squared distance that overflows raises ``NumericFailure`` rather than
 being clamped to zero or returned as infinity.
 
 ``ivda.mallows`` re-exports ``MomentSummary`` and ``distance_matrix`` beside
-the published scalar forms; the ``distance`` and ``covariance`` commands
-load this module and not that one.
+the published scalar forms; the ``distance`` command loads this module and
+not that one, and the ``covariance`` command neither.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from ._value import Record
-from .errors import DomainError, NumericFailure
-from .latent import cross_moment
+from .errors import NumericFailure
+from .latent import _latent_moments
 
 __all__ = ["MomentSummary", "distance_matrix"]
 
 
-def _latent_moments(latents):
-    """(psi, delta) arrays: each latent's mean and second moment over four.
+def __getattr__(name):
+    # MomentSummary, which only the covariance builds, lives in ivda.moments
+    if name != "MomentSummary":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .moments import MomentSummary
 
-    The one place the vectorised forms read latent moments; the published
-    scalar forms read them from the latents directly.
-    """
-    psi = np.array([lat.mean for lat in latents], dtype=float)
-    delta = np.array([lat.second_moment for lat in latents], dtype=float) / 4.0
-    return psi, delta
-
-
-class MomentSummary(Record):
-    """First and second latent moments of a p-dimensional latent vector.
-
-    psi holds the means, delta the second moments over four, and euu the
-    full cross-moment matrix whose diagonal equals the second moments.
-    """
-
-    __slots__ = _fields = ("psi", "delta", "euu")
-
-    def __init__(self, psi, delta, euu):
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "euu", euu)
-
-    @classmethod
-    def from_latents(cls, latents):
-        latents = tuple(latents)
-        if any(lat is None for lat in latents):
-            raise DomainError("every dimension needs a latent distribution")
-        psi, delta = _latent_moments(latents)
-        euu = np.diag(4.0 * delta)
-        for i, j in itertools.combinations(range(len(latents)), 2):
-            euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
-        return cls(psi=psi, delta=delta, euu=euu)
+    return MomentSummary
 
 
 # rows per distance-matrix block: a fixed size bounds the buffers at five

@@ -4,7 +4,7 @@ for cross moments that have no closed form.
 ``Triangular``, ``InvertedTriangular``, ``TruncatedNormal`` and
 ``ShiftedBeta`` live here, with ``_cached_cross_moment``, the graded
 fixed-grid quadrature for every cross moment without a closed form, a
-route that ``ivda.latent.cross_moment`` decides. ``ivda.latent`` re-exports
+route that ``ivda._cross.cross_moment`` decides. ``ivda.latent`` re-exports
 the four families and loads this module on first use, so a chain that runs
 on ``Kde`` latents, whose cross moments are closed, never compiles it. Only
 the truncated-normal and beta families need the special functions, and
@@ -204,11 +204,63 @@ def _quantile_table(dist, panels, cuts):
     return half, dist._quantile(nodes.ravel()).reshape(nodes.shape)
 
 
-@functools.lru_cache(maxsize=4096)
+# the most pairs the cross-moment cache holds
+_CACHE_PAIRS = 4096
+# pairs with a Kde, keyed by content, oldest first
+_KDE_PAIRS = {}
+_blake2b = None
+
+
+def _content(dist):
+    # a Kde by its bandwidth and a digest of its sample, so that a cached
+    # pair does not keep the Kde's arrays (about 99 kB) alive; hashlib, and
+    # OpenSSL with it (about 3 ms), loads on the first such pair
+    global _blake2b
+    if not isinstance(dist, Kde):
+        return dist
+    if _blake2b is None:
+        from hashlib import blake2b as _blake2b
+    return "kde", dist.bandwidth, _blake2b(dist.sample.tobytes(), digest_size=16).digest()
+
+
 def _cached_cross_moment(d1, d2):
+    """The table rule's cross moment of ``d1`` and ``d2``, cached per pair.
+
+    Both orders share one evaluation. A pair of parametric families is
+    cached by the latents themselves (an LRU of 4096 pairs); a pair with a
+    ``Kde`` by each ``Kde``'s content, so the cache holds no ``Kde``, with
+    the oldest of 4096 such pairs dropped first.
+    """
+    if not (isinstance(d1, Kde) or isinstance(d2, Kde)):
+        return _parametric_cross_moment(d1, d2)
+    if hash(d2) < hash(d1):
+        d1, d2 = d2, d1
+    key = _content(d1), _content(d2)
+    value = _KDE_PAIRS.get(key)
+    if value is None:
+        value = _KDE_PAIRS[key] = _table_rule(d1, d2)
+        if len(_KDE_PAIRS) > _CACHE_PAIRS:
+            del _KDE_PAIRS[next(iter(_KDE_PAIRS))]
+    return value
+
+
+def _cache_clear():
+    _parametric_cross_moment.cache_clear()
+    _KDE_PAIRS.clear()
+
+
+_cached_cross_moment.cache_clear = _cache_clear
+
+
+@functools.lru_cache(maxsize=_CACHE_PAIRS)
+def _parametric_cross_moment(d1, d2):
     # the rule is symmetric bit for bit, so both orders share one evaluation
     if hash(d2) < hash(d1):
-        return _cached_cross_moment(d2, d1)
+        return _parametric_cross_moment(d2, d1)
+    return _table_rule(d1, d2)
+
+
+def _table_rule(d1, d2):
     # a Kde quantile kinks at every interior cdf knot; breakpoints() leaves
     # them out so that they stay off the oracle's grid
     knots = [d._cdf[1:-1].tolist() for d in (d1, d2) if isinstance(d, Kde)]

@@ -12,8 +12,9 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from ._tables import load_interval_csv, read_summary_csv
+from .estimation import read_summary_csv
 from .ingest import read_microdata_csv
+from .interval import load_interval_csv
 
 __all__ = [
     "DATA_ENV",

@@ -7,13 +7,18 @@ test; and an explicit family assumption always remains available upstream.
 Every fit is deterministic: no randomness enters any routine here. The
 kernel density fit, ``fit_kde``, is defined beside ``Kde`` in
 ``ivda.latent`` and re-exported here, so ``fit --method kde`` loads
-neither this module nor the parametric families.
+neither this module nor the parametric families. The summary-statistics
+reader that the triangular-Pearson fit takes its rows from,
+``read_summary_csv``, lives here too, and ``ivda.ingest`` re-exports it.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from ._tables import _read_table, _refuse_repeated
 from ._value import Record
 from .errors import DataValidationError, DomainError, NumericFailure
 from ._families import ShiftedBeta, Triangular
@@ -29,6 +34,34 @@ __all__ = [
     "fit_triangular_pearson",
     "empirical_moment_summary",
 ]
+
+
+def read_summary_csv(path):
+    """Read summary statistics rows: group,variable,mean,median,min,max.
+
+    Returns {variable: list of (group, mean, median, Interval)} preserving
+    row order within each variable.
+    """
+    from ._box import Interval
+
+    path = Path(path)
+    rows = _read_table(path)
+    header = next(rows)
+    _refuse_repeated(header, path)
+    required = ("group", "variable", "mean", "median", "min", "max")
+    if not set(required).issubset(header):
+        raise DataValidationError(
+            f"{path}: header must contain columns {sorted(required)}")
+    group, variable, mean, median, least, most = map(header.index, required)
+    out = {}
+    for line, cells in rows:
+        try:
+            iv = Interval(float(cells[least]), float(cells[most]))
+            out.setdefault(cells[variable], []).append(
+                (cells[group], float(cells[mean]), float(cells[median]), iv))
+        except (ValueError, DomainError) as exc:
+            raise DataValidationError(f"{path}:{line}: {exc}") from exc
+    return out
 
 
 def fit_beta_mom(u_samples):

@@ -6,12 +6,16 @@ remains, and maps the kept values onto the latent scale [-1, 1]
 (``scale_to_latent``). Cells left with zero range are dropped (with their
 whole row, to keep the frame rectangular) and reported.
 
-This module owns the microdata reader and the aggregation, which is all the
-``aggregate`` command runs; they work on plain floats, so that command never
-loads numpy. Every table format, ``ScaledSample`` and the interval,
-scaled-sample and summary readers and writers among them, lives in
-``ivda._tables`` and is re-exported here. numpy (and ``ivda.interval``) load
-on first use: in ``scale_to_latent`` and the ``frame`` and ``scaled`` of an
+This module owns the public side: ``MicroRecord``, the record reader,
+``aggregate`` and its result, ``scale_to_latent`` and the interval and
+scaled-sample writers. They run on ``ivda._aggregation``, which is all the
+``aggregate`` command loads: the checked row iterator of a microdata CSV,
+the grouping into cells as rows are read, and the aggregation and writers
+on plain floats, so that command loads neither numpy nor the value classes.
+The other public table readers and ``ScaledSample`` live beside the stages
+that read them and are re-exported here on first access. numpy (and
+``ivda.interval``) load on first use: in ``scale_to_latent``,
+``write_interval_csv`` and the ``frame`` and ``scaled`` of an
 ``AggregateResult``.
 """
 
@@ -19,22 +23,19 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 
-from ._tables import (
-    ScaledSample,
-    _check_scaled,
-    _read_table,
-    _refuse_repeated,
-    load_interval_csv,
-    read_scaled_csv,
-    read_summary_csv,
-    write_interval_csv,
-    write_scaled_csv,
+from ._aggregation import (
+    _KEY_RULE,
+    _aggregate,
+    _group,
+    _microdata,
+    _scale,
+    _write_intervals,
+    _write_scaled,
 )
 from ._value import Frozen, Value
-from .errors import DataValidationError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "MicroRecord",
@@ -51,7 +52,17 @@ __all__ = [
     "read_scaled_csv",
 ]
 
-_KEY_RULE = "record key must be a non-empty tuple of non-empty strings"
+# the public names read from the module of the stage that reads them
+_ELSEWHERE = {"ScaledSample": "_cmd_fit", "read_scaled_csv": "_cmd_fit",
+              "load_interval_csv": "interval", "read_summary_csv": "estimation"}
+
+
+def __getattr__(name):
+    if name not in _ELSEWHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{_ELSEWHERE[name]}"), name)
 
 
 class MicroRecord(Frozen):
@@ -77,31 +88,6 @@ class MicroRecord(Frozen):
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "value", value)
-
-
-def _scale(values, lower, upper):
-    """The floats u = 2 (v - c) / r, clamped to [-1, 1], of the floats
-    ``values`` inside [lower, upper]: ``scale_to_latent`` on plain floats.
-    Each step is one IEEE operation, as in numpy, so both give the same
-    bits."""
-    r = upper - lower
-    if r == 0.0:
-        raise DomainError("cannot scale values inside a zero-range interval")
-    tol = 1e-9 * max(1.0, r)
-    least, most = lower - tol, upper + tol
-    bad = [k for k, v in enumerate(values) if v < least or v > most]
-    if bad:
-        shown = ", ".join(f"[{k}]={values[k]!r}" for k in bad[:5])
-        raise DataValidationError(
-            f"{len(bad)} value(s) outside [{lower}, {upper}]: {shown}")
-    c = 0.5 * (lower + upper)
-    if not math.isfinite(c):
-        # the bounds' sum overflowed; halving each first keeps every finite
-        # case's bits
-        c = 0.5 * lower + 0.5 * upper
-    # NaN, from an overflowed range, passes the clamp, as through np.clip
-    return [-1.0 if u < -1.0 else 1.0 if u > 1.0 else u
-            for u in [2.0 * (v - c) / r for v in values]]
 
 
 def scale_to_latent(values, interval):
@@ -158,12 +144,10 @@ class AggregateResult(Value):
     def scaled(self):
         import numpy as np
 
+        from ._cmd_fit import ScaledSample
+
         return {name: ScaledSample(variable=name, values=np.array(values), rows=rows)
                 for name, (rows, values) in self.samples.items()}
-
-
-def _label(key):
-    return ":".join(key)
 
 
 def aggregate(records, trim=0.0, keep_degenerate=False):
@@ -177,92 +161,34 @@ def aggregate(records, trim=0.0, keep_degenerate=False):
     retained, non-degenerate cell are returned alongside. Output ordering
     is deterministic: rows sorted by group key, variables sorted by name.
     """
-    if not (0.0 <= trim < 0.5):
-        raise DomainError("trim must lie in [0, 0.5)")
-    cells = {}
-    variables = set()
-    for rec in records:
-        variables.add(rec.variable)
-        cells.setdefault(rec.key, {}).setdefault(rec.variable, []).append(rec.value)
-    if not cells:
-        raise DataValidationError("no records to aggregate")
-    names = sorted(variables)
-    report = AggregationReport()
-
-    kept_rows = []
-    for key in sorted(cells):
-        row = cells[key]
-        row_out = {}
-        drop_reasons = []
-        for name in names:
-            values = row.get(name)
-            if not values:
-                drop_reasons.append(f"empty cell {name}")
-                continue
-            values = sorted(values)
-            k = int(trim * len(values))
-            rest = values[k:len(values) - k] if k else values
-            lo, hi = rest[0], rest[-1]
-            if hi - lo == 0.0 and not (keep_degenerate and trim == 0.0):
-                drop_reasons.append(f"degenerate cell {name} ({lo})")
-                continue
-            row_out[name] = (lo, hi, rest)
-        if drop_reasons:
-            report.dropped_rows.append((_label(key), drop_reasons))
-            continue
-        kept_rows.append((_label(key), row_out))
-
-    if not kept_rows:
-        raise DataValidationError("every row was dropped during aggregation",
-                                  violations=report.dropped_rows)
-
-    samples = {}
-    for name in names:
-        values = []
-        rows = []
-        for label, row in kept_rows:
-            lo, hi, rest = row[name]
-            if hi - lo == 0.0:
-                continue
-            values += _scale(rest, lo, hi)
-            rows += [label] * len(rest)
-        if values:
-            _check_scaled(name, values)
-            samples[name] = (tuple(rows), values)
-    return AggregateResult(
-        names=tuple(names), labels=tuple(label for label, _ in kept_rows),
-        lower=[[row[name][0] for name in names] for _, row in kept_rows],
-        upper=[[row[name][1] for name in names] for _, row in kept_rows],
-        samples=samples, report=report)
+    names, labels, lower, upper, samples, dropped = _aggregate(
+        _group((rec.key, rec.variable, rec.value) for rec in records), trim, keep_degenerate)
+    return AggregateResult(names=names, labels=labels, lower=lower, upper=upper,
+                           samples=samples, report=AggregationReport(dropped))
 
 
 def read_microdata_csv(path):
     """Read records from a CSV with columns group1[,group2,...],variable,value."""
     path = Path(path)
-    header, rows = _read_table(path)
-    header = [h.strip() for h in header]
-    _refuse_repeated(header, path)
-    try:
-        var_col = header.index("variable")
-        val_col = header.index("value")
-    except ValueError:
-        raise DataValidationError(
-            f"{path}: header must contain 'variable' and 'value' columns") from None
-    key_cols = [i for i in range(len(header)) if i not in (var_col, val_col)]
-    if not key_cols:
-        raise DataValidationError(f"{path}: at least one group column is required")
-    # the variable, then the key: a tuple of at least two cells
-    cells_of = itemgetter(var_col, *key_cols)
-    records = []
-    for line, row in rows:
-        try:
-            value = float(row[val_col])
-        except ValueError:
-            raise DataValidationError(
-                f"{path}:{line}: cannot parse value field") from None
-        cells = cells_of(row)
-        try:
-            records.append(MicroRecord(cells[1:], cells[0], value))
-        except DomainError as exc:
-            raise DataValidationError(f"{path}:{line}: {exc}") from exc
-    return records
+    return [MicroRecord(key, variable, value) for key, variable, value in _microdata(path)]
+
+
+def write_interval_csv(frame, path, mode="bounds"):
+    """Write an interval dataset to CSV, losslessly (shortest round-trip
+    float representation). ``mode`` picks bounds (.lo/.hi) or centre/range
+    (.c/.r) columns."""
+    if mode not in ("bounds", "centre_range"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if mode == "bounds":
+        suffixes, first, second = (".lo", ".hi"), frame.lower, frame.upper
+    else:
+        suffixes, (first, second) = (".c", ".r"), frame.centres_ranges()
+    _write_intervals(path, frame.names, frame.labels, first.tolist(), second.tolist(),
+                     suffixes)
+
+
+def write_scaled_csv(scaled, path):
+    """Write scaled microdata samples as long-form CSV variable,row,value."""
+    _write_scaled(path, {name: (sample.rows if sample.rows is not None
+                                else ("",) * sample.values.size, sample.values.tolist())
+                         for name, sample in scaled.items()})

@@ -5,24 +5,36 @@ b - a; the two views round-trip exactly. A Box pairs a p-vector of intervals
 with the latent distribution of each dimension. An IntervalFrame is the n x p
 dataset container; it stores raw bounds without judging them, and exposes
 ``validate`` to report every broken invariant as data rather than aborting.
+
+This module owns ``IntervalFrame``, ``Violation`` and the frame's CSV
+reader, ``load_interval_csv``, which ``ivda.ingest`` re-exports: what the
+``distance`` and ``covariance`` commands run. The scalar ``Interval`` and
+``Box``, which the published forms and the barycentre take, live in
+``ivda._box`` and resolve as names of this module on first access.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
+from ._tables import _read_table, _refuse_repeated
 from ._value import Frozen
 from .errors import DataValidationError, DomainError
 
 __all__ = ["Interval", "Box", "IntervalFrame", "Violation"]
 
 
-# a bound beyond this may make the bounds' sum overflow
-_HALF_MAX = 0.5 * sys.float_info.max
+def __getattr__(name):
+    # the scalar Interval and Box live in ivda._box, loaded on first use
+    if name not in ("Interval", "Box"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _box
+
+    return getattr(_box, name)
+
 
 # what a range that does not match its latent breaks, by whether the latent
 # is degenerate
@@ -39,89 +51,6 @@ def _cell_faults(lower, upper, ranges, degenerate):
     crossed = finite & (lower > upper)
     mismatch = finite & ~crossed & ((ranges == 0.0) != degenerate)
     return ~finite, crossed, mismatch
-
-
-class Interval(Frozen):
-    """A real closed bounded interval [lower, upper]."""
-
-    __slots__ = _fields = ("lower", "upper")
-
-    def __init__(self, lower, upper):
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise DomainError("interval bounds must be finite")
-        if lower > upper:
-            raise DomainError(f"interval bounds out of order: [{lower}, {upper}]")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @classmethod
-    def from_centre_range(cls, centre, range_):
-        if range_ < 0.0:
-            raise DomainError("range must be non-negative")
-        half = 0.5 * range_
-        return cls(centre - half, centre + half)
-
-    @property
-    def centre(self):
-        lower, upper = self.lower, self.upper
-        if abs(lower) <= _HALF_MAX and abs(upper) <= _HALF_MAX:
-            return 0.5 * (lower + upper)
-        # halving each bound first gives the same bits wherever the sum is
-        # finite, and a finite centre where it overflows
-        return 0.5 * lower + 0.5 * upper
-
-    @property
-    def range(self):
-        return self.upper - self.lower
-
-
-class Box(Frozen):
-    """A hyperrectangle: p intervals plus the latent weight per dimension.
-
-    Each dimension obeys the frame rule: its range is zero exactly when its
-    latent is ``Degenerate``, else the Box raises a DomainError.
-    """
-
-    __slots__ = _fields = ("intervals", "latents")
-
-    def __init__(self, intervals, latents):
-        # imported here: reading and writing frames never needs the latents
-        from .latent import Degenerate, LatentDistribution
-
-        intervals, latents = tuple(intervals), tuple(latents)
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "latents", latents)
-        if len(intervals) < 1:
-            raise DomainError("a box needs at least one dimension")
-        if len(intervals) != len(latents):
-            raise DomainError("one latent distribution is required per dimension")
-        for i, (iv, lat) in enumerate(zip(intervals, latents)):
-            if not isinstance(iv, Interval):
-                raise DomainError(f"dimension {i} is not an Interval")
-            if not isinstance(lat, LatentDistribution):
-                raise DomainError(f"dimension {i} has no latent distribution")
-            # one numpy-scalar comparison per dimension keeps a Box cheap
-            if isinstance(lat, Degenerate):
-                if iv.range != 0.0:
-                    raise DomainError(f"dimension {i}: {_MISMATCH[1]}")
-            elif iv.range == 0.0:
-                raise DomainError(f"dimension {i}: {_MISMATCH[0]}")
-
-    @property
-    def p(self):
-        return len(self.intervals)
-
-    @property
-    def centres(self):
-        return np.array([iv.centre for iv in self.intervals])
-
-    @property
-    def ranges(self):
-        return np.array([iv.range for iv in self.intervals])
-
-    def as_vector(self):
-        """Stacked (centres, ranges) coordinates in R^{2p}."""
-        return np.concatenate([self.centres, self.ranges])
 
 
 class Violation(Frozen):
@@ -249,6 +178,8 @@ class IntervalFrame:
 
     def row_box(self, i):
         """The i-th observation as a Box; requires a valid row and latents."""
+        from ._box import Box, Interval
+
         self.require_latents()
         intervals = tuple(Interval(self._lower[i, j], self._upper[i, j])
                           for j in range(self.p))
@@ -335,3 +266,71 @@ class IntervalFrame:
                     if self._degenerate[j] else
                     f"zero-range variable {name} must use the degenerate latent"))
         return out
+
+
+# each column suffix: its encoding (0 bounds, 1 centre and range) and its slot
+_SUFFIXES = {".lo": (0, 1), ".hi": (0, 2), ".c": (1, 1), ".r": (1, 2)}
+
+
+def _parse_interval_header(header, path):
+    _refuse_repeated([h.strip() for h in header], path)
+    seen = {}           # name -> [mode, first column, second column]
+    label_col = None
+    for idx, raw in enumerate(header):
+        col = raw.strip()
+        sfx = next((sfx for sfx in _SUFFIXES if col.endswith(sfx)), None)
+        if sfx is None:
+            if idx != 0:
+                raise DataValidationError(
+                    f"{path}: unrecognized column {col!r} (expected .lo/.hi or .c/.r)")
+            label_col = idx
+            continue
+        mode, slot = _SUFFIXES[sfx]
+        name = col[:-len(sfx)]
+        entry = seen.setdefault(name, [mode, None, None])
+        if entry[0] != mode:
+            raise DataValidationError(f"{path}: variable {name!r} mixes column encodings")
+        entry[slot] = idx
+    for name, (_, first, second) in seen.items():
+        if first is None or second is None:
+            raise DataValidationError(
+                f"{path}: variable {name!r} is missing its paired column")
+    if not seen:
+        raise DataValidationError(f"{path}: no interval columns found")
+    # (name, mode, first column, second column), in the order of the first
+    return label_col, sorted(((name, *entry) for name, entry in seen.items()),
+                             key=lambda item: item[2])
+
+
+def load_interval_csv(path):
+    """Load an interval dataset from CSV.
+
+    Each variable occupies two columns, ``name.lo,name.hi`` (bounds) or
+    ``name.c,name.r`` (centre and range), detected per variable from the
+    header. An unsuffixed first column is the row label. Out-of-order
+    bounds are loaded as-is and surface through ``IntervalFrame.validate``.
+    """
+    path = Path(path)
+    rows = _read_table(path)
+    label_col, pairs = _parse_interval_header(next(rows), path)
+    lower, upper, labels = [], [], []
+    for line, row in rows:
+        lows, highs = [], []
+        for name, mode, i1, i2 in pairs:
+            try:
+                v1, v2 = float(row[i1]), float(row[i2])
+            except ValueError:
+                raise DataValidationError(
+                    f"{path}:{line}: cannot parse variable {name!r}") from None
+            if mode:
+                v1, v2 = v1 - 0.5 * v2, v1 + 0.5 * v2
+            lows.append(v1)
+            highs.append(v2)
+        lower.append(lows)
+        upper.append(highs)
+        if label_col is not None:
+            labels.append(row[label_col])
+    if not lower:
+        raise DataValidationError(f"{path}: no data rows")
+    return IntervalFrame(lower, upper, [name for name, *_ in pairs],
+                         labels=None if label_col is None else labels)

@@ -11,12 +11,15 @@ distribution never mutates (the kernel-density family precomputes its
 density at construction), so values are safe to share across threads.
 
 This module owns the base class, ``Uniform``, ``Degenerate``, ``Kde`` with
-its fit (``fit_kde``), the closed-form cross moments, ``cross_moment``,
-which decides each pair's route (the closed form, else the table rule),
-and the JSON (de)serialisation: everything a chain on ``Kde`` latents runs.
-``Triangular``, ``InvertedTriangular``, ``TruncatedNormal``, ``ShiftedBeta``
-and the table rule live in ``ivda._families``, which loads on the first
-use of one of them; the four families still resolve as names of this module.
+its fit (``fit_kde``), the moment arrays of the column engine
+(``_latent_moments``) and the JSON (de)serialisation: what the ``fit``,
+``distance`` and ``covariance`` stages of a chain on ``Kde`` latents run.
+``cross_moment``, which decides each pair's route, and the closed forms
+live in ``ivda._cross``, which only the covariance loads; ``Triangular``,
+``InvertedTriangular``, ``TruncatedNormal``, ``ShiftedBeta`` and the table
+rule live in ``ivda._families``, which loads on the first use of one of
+them, and ``microdata_quantile`` in ``ivda.mallows``. Those names still
+resolve as names of this module.
 """
 
 from __future__ import annotations
@@ -48,18 +51,20 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_GAUSS2 = 1.0 / math.sqrt(3.0)
 
-# the families that ivda._families defines, loaded on first use
-_IN_FAMILIES = ("Triangular", "InvertedTriangular", "TruncatedNormal", "ShiftedBeta")
+# the public names that other modules define, loaded on first use: the
+# families of ivda._families, the cross moments of ivda._cross and the
+# microdata quantile of ivda.mallows
+_ELSEWHERE = {"Triangular": "_families", "InvertedTriangular": "_families",
+              "TruncatedNormal": "_families", "ShiftedBeta": "_families",
+              "cross_moment": "_cross", "quantile_correlation": "_cross",
+              "microdata_quantile": "mallows"}
 
 
 def __getattr__(name):
-    if name not in _IN_FAMILIES:
+    if name not in _ELSEWHERE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _families
-
-    return getattr(_families, name)
+    return getattr(__import__(f"{__package__}.{_ELSEWHERE[name]}", fromlist=[name]), name)
 
 
 class LatentDistribution:
@@ -141,6 +146,17 @@ class Degenerate(LatentDistribution, Frozen):
     @property
     def second_moment(self):
         return 0.0
+
+
+def _latent_moments(latents):
+    """(psi, delta) arrays: each latent's mean and second moment over four.
+
+    The one place the vectorised forms read latent moments; the published
+    scalar forms read them from the latents directly.
+    """
+    psi = np.array([lat.mean for lat in latents], dtype=float)
+    delta = np.array([lat.second_moment for lat in latents], dtype=float) / 4.0
+    return psi, delta
 
 
 def silverman_bandwidth(sample):
@@ -333,82 +349,6 @@ def _reflected_density(sample, grid, h):
     density[0] *= 2.0
     density[-1] *= 2.0
     return density / n
-
-
-def _merged_knots(a, b):
-    # np.union1d's sort-and-compare path, without the numpy.ma import that
-    # np.unique makes on its first call
-    t = np.sort(np.concatenate((a, b)))
-    keep = np.empty(t.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(t[1:], t[:-1], out=keep[1:])
-    return t[keep]
-
-
-# the families whose quantiles are linear between knots
-_LINEAR = (Kde, Uniform)
-
-
-def _closed_cross_moment(d1, d2):
-    if isinstance(d1, Degenerate) or isinstance(d2, Degenerate):
-        return 0.0
-    if d1 == d2:
-        return d1.second_moment
-    if type(d1) in _LINEAR and type(d2) in _LINEAR:
-        # both quantiles are linear between the merged cdf knots, so the
-        # two-point Gauss rule is exact there; its nodes are interior, clear
-        # of the jump a quantile makes where the cdf is flat
-        t = _merged_knots(*(d._cdf if isinstance(d, Kde) else (0.0, 1.0) for d in (d1, d2)))
-        half = 0.5 * np.diff(t)
-        nodes = (t[:-1] + half * (1.0 - _GAUSS2), t[:-1] + half * (1.0 + _GAUSS2))
-        return float(np.sum(half * sum(d1._quantile(x) * d2._quantile(x) for x in nodes)))
-    if type(d1) is Uniform:
-        return d2._uniform_cross_moment()
-    if type(d2) is Uniform:
-        return d1._uniform_cross_moment()
-    return None
-
-
-def cross_moment(d1, d2):
-    """Comonotone product moment: the integral of q1(t) * q2(t) over (0, 1).
-
-    Symmetric in its arguments; equals the second moment when the two
-    distributions coincide. Each pair takes one route: the closed form
-    where one is known (a ``Degenerate`` latent, two equal latents, any pair
-    of ``Kde`` and ``Uniform``, and ``Uniform`` with ``Triangular``), else
-    the table rule of ``ivda._families``, a dot product of the two latents'
-    quantile tables on a graded grid cut at their breakpoints and at any
-    ``Kde``'s cdf knots. The rule raises ``NumericFailure`` when the rule on
-    half as many panels differs by more than 1e-9; its results are cached
-    per pair.
-    """
-    closed = _closed_cross_moment(d1, d2)
-    return closed if closed is not None else _table_rule(d1, d2)
-
-
-def _table_rule(d1, d2):
-    # the first pair without a closed form loads ivda._families and binds
-    # its cached rule in this function's place, so no later call imports
-    global _table_rule
-    from ._families import _cached_cross_moment as _table_rule
-
-    return _table_rule(d1, d2)
-
-
-def quantile_correlation(d1, d2):
-    """Correlation between the two quantile functions, in (0, 1]."""
-    v1, v2 = d1.variance, d2.variance
-    if v1 <= 0.0 or v2 <= 0.0:
-        raise NumericFailure("zero-variance latent")
-    return (cross_moment(d1, d2) - d1.mean * d2.mean) / math.sqrt(v1 * v2)
-
-
-def microdata_quantile(c, r, dist, t):
-    """Quantile of the microdata in the interval with centre c and range r."""
-    if r < 0.0:
-        raise DomainError("range must be non-negative")
-    q = dist.quantile(t)
-    return c + 0.5 * r * np.asarray(q) if np.ndim(t) else c + 0.5 * r * q
 
 
 # the JSON tag of each family and its class's name; a parametric family's

@@ -8,10 +8,12 @@ integral directly and serves as the independent check on every closed form.
 
 This module owns the published forms, which are scalar functions of one
 pair, the oracle, the Mahalanobis form and the iso-distance ellipse.
-``distance_matrix`` and ``MomentSummary`` belong to the column engine in
-``ivda._engine``, which every vectorised form runs, and are re-exported
-here. The oracle loads the quadrature and the table of latent quantiles
-(``ivda.quadrature``, ``ivda._families``) only when it is called.
+``distance_matrix`` belongs to the column engine in ``ivda._engine``,
+which every vectorised form runs, and ``MomentSummary`` to
+``ivda.moments``; both are re-exported here. ``microdata_quantile``, the
+quantile function that the oracle integrates, is re-exported by
+``ivda.latent``. The oracle loads the quadrature and the table of latent
+quantiles (``ivda.quadrature``, ``ivda._families``) only when it is called.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import numpy as np
 
 from ._value import Record
 from .errors import DomainError, NumericFailure
-from ._engine import MomentSummary, _latent_moments, distance_matrix
-from .latent import cross_moment, quantile_correlation
+from ._cross import cross_moment, quantile_correlation
+from ._engine import distance_matrix
+from .latent import _latent_moments
+from .moments import MomentSummary
 
 __all__ = [
     "dist_sq_general",
@@ -117,6 +121,14 @@ def dist_sq_box(b1, b2):
 _ORACLE_PANELS = 256
 _ORACLE_GRADING = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
 _ORACLE_CUTS = frozenset(_ORACLE_GRADING) | {1.0 - g for g in _ORACLE_GRADING}
+
+
+def microdata_quantile(c, r, dist, t):
+    """Quantile of the microdata in the interval with centre c and range r."""
+    if r < 0.0:
+        raise DomainError("range must be non-negative")
+    q = dist.quantile(t)
+    return c + 0.5 * r * np.asarray(q) if np.ndim(t) else c + 0.5 * r * q
 
 
 def _oracle_grid(u1, u2):

@@ -1,31 +1,29 @@
-"""Barycentre, Frechet variance, and the symbolic covariance matrix.
+"""The symbolic covariance matrix, and every name of the paper's moments.
 
-The barycentre of an interval dataset is the box of componentwise mean
-centres and mean ranges; the Frechet variance is its mean squared distance
-to the observations, equal to the trace of the symbolic covariance matrix.
-``covariance_quantile_oracle`` integrates the defining quantile-function
-products directly on the fixed grid of ``mallows.oracle_dist_sq`` and is
-the independent check on the closed forms; it reads no latent moment.
+Sigma_B combines the centre covariances, the Schur product of the latent
+cross moments (``MomentSummary``'s E_UU) with the range covariances, and
+the centre/range cross covariances weighted by the latent means. This
+module holds what the ``covariance`` command runs: ``symbolic_covariance``,
+``MomentSummary`` and ``jacobi_eigenvalues``, whose eigenvalues come from
+``np.linalg.eigvalsh`` with structural zeros split off first. The
+barycentre, the Frechet variance, correlation matrices, the model-7
+estimator, the covariance oracle and ``frobenius_diff`` live in
+``ivda._barycentre`` and resolve as names of this module on first access.
 
 Every closed form reads the latent means and second moments through
-``_latent_moments`` of the column engine, ``ivda._engine``; only the
-covariance also needs the cross moments, so only it builds a full
-``MomentSummary``. The oracle loads ``ivda.mallows`` and ``ivda.quadrature``
-only when it is called. Schur products, traces and the diagonal scaling
-behind correlation matrices are plain numpy operators; eigenvalues come
-from ``np.linalg.eigvalsh`` with structural zeros split off first.
-"""
+``ivda.latent._latent_moments``; only the covariance also needs the cross
+moments, so only it builds a full ``MomentSummary``."""
 
 from __future__ import annotations
 
-import math
+import itertools
 
 import numpy as np
 
+from ._cross import cross_moment
 from ._value import Record
 from .errors import DataValidationError, DomainError, NumericFailure
-from .interval import Box, Interval
-from ._engine import MomentSummary, _dist_sq_columns, _latent_moments
+from .latent import _latent_moments
 
 __all__ = [
     "Barycentre",
@@ -40,6 +38,20 @@ __all__ = [
     "frobenius_diff",
     "jacobi_eigenvalues",
 ]
+
+# the barycentre and every other public name that the covariance command
+# does not run, in ivda._barycentre, loaded on first use
+_ELSEWHERE = {"Barycentre", "sample_barycentre", "frechet_variance", "correlation_matrix",
+              "correlation_from_cov", "covariance_quantile_oracle", "cov_model7",
+              "frobenius_diff"}
+
+
+def __getattr__(name):
+    if name not in _ELSEWHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _barycentre
+
+    return getattr(_barycentre, name)
 
 
 def jacobi_eigenvalues(a):
@@ -72,19 +84,6 @@ def _finite(value, what):
     return value
 
 
-def _fsum(values, what):
-    """``math.fsum`` of ``values``, with a NumericFailure where the sum is
-    not finite."""
-    try:
-        total = math.fsum(values)
-    except (OverflowError, ValueError):
-        # fsum raises on an intermediate overflow and on inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise NumericFailure(f"{what} is not finite: the data overflow")
-    return total
-
-
 def _covariance_parts(c, r, ddof=0):
     n = c.shape[0]
     if n - ddof <= 0:
@@ -98,20 +97,31 @@ def _covariance_parts(c, r, ddof=0):
     return s_cc, s_rr, s_cr
 
 
-class Barycentre(Record):
-    """Mean box of a dataset plus the attained Frechet variance.
+class MomentSummary(Record):
+    """First and second latent moments of a p-dimensional latent vector.
 
-    ``centres`` and ``ranges`` hold the exact componentwise means; the box
-    view re-derives them from its bounds and may differ in the last bit.
+    psi holds the means, delta the second moments over four, and euu the
+    full cross-moment matrix whose diagonal equals the second moments.
     """
 
-    __slots__ = _fields = ("box", "centres", "ranges", "frechet_variance")
+    __slots__ = _fields = ("psi", "delta", "euu")
 
-    def __init__(self, box, centres, ranges, frechet_variance):
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "centres", centres)
-        object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "frechet_variance", frechet_variance)
+    def __init__(self, psi, delta, euu):
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "euu", euu)
+
+    @classmethod
+    def from_latents(cls, latents):
+        latents = tuple(latents)
+        if any(lat is None for lat in latents):
+            raise DomainError("every dimension needs a latent distribution")
+        psi, delta = _latent_moments(latents)
+        euu = np.diag(4.0 * delta)
+        for i, j in itertools.combinations(range(len(latents)), 2):
+            euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
+        return cls(psi=psi, delta=delta, euu=euu)
+
 
 
 class SymbolicCovariance(Record):
@@ -135,37 +145,6 @@ class SymbolicCovariance(Record):
         object.__setattr__(self, "summary", summary)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "divisor", divisor)
-
-
-def sample_barycentre(frame):
-    """Componentwise means of centres and ranges, with the mean squared
-    distance of the observations to that box."""
-    if frame.n < 1:
-        raise DataValidationError("cannot take the barycentre of an empty frame")
-    c, r = frame.checked_centres_ranges()
-    with np.errstate(over="ignore", invalid="ignore"):
-        cbar = _finite(c.mean(axis=0), "barycentre")
-        rbar = _finite(r.mean(axis=0), "barycentre")
-    box = Box(tuple(Interval.from_centre_range(cb, rb) for cb, rb in zip(cbar, rbar)),
-              frame.latents)
-    # each row's dist_sq_box to the box, bitwise, from the column engine
-    sq = np.zeros(frame.n)
-    _dist_sq_columns(c.T, r.T, box.centres[:, None], box.ranges[:, None],
-                     *_latent_moments(frame.latents), sq, np.empty((4, frame.n)))
-    vf = _fsum(sq.tolist(), "Frechet variance") / frame.n
-    return Barycentre(box=box, centres=cbar, ranges=rbar, frechet_variance=vf)
-
-
-def frechet_variance(frame):
-    """Trace form of the Frechet variance: tr(S_CC + Delta S_RR + S_CR Psi)."""
-    if frame.n < 1:
-        raise DataValidationError("empty frame")
-    c, r = frame.checked_centres_ranges()
-    psi, delta = _latent_moments(frame.latents)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_cc, s_rr, s_cr = _covariance_parts(c, r, ddof=0)
-        terms = np.diag(s_cc) + delta * np.diag(s_rr) + psi * np.diag(s_cr)
-    return _fsum(terms.tolist(), "Frechet variance")
 
 
 def symbolic_covariance(frame, ddof=0):
@@ -193,77 +172,3 @@ def symbolic_covariance(frame, ddof=0):
                               sigma_cr=s_cr, summary=summary,
                               names=frame.names,
                               divisor="n" if ddof == 0 else "n-1")
-
-
-def correlation_matrix(sigma, names=None):
-    """D^{-1/2} Sigma D^{-1/2} for a covariance-like symmetric matrix; a
-    non-finite entry raises ``NumericFailure``."""
-    sigma = np.asarray(sigma, dtype=float)
-    d = np.diag(sigma)
-    bad = np.flatnonzero(d <= 0.0)
-    if bad.size:
-        label = names[bad[0]] if names is not None else str(bad[0])
-        raise NumericFailure(f"zero variance for variable {label!r}: no correlation")
-    root = np.sqrt(d)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # checked before the unit diagonal is written, which would hide a NaN
-        corr = _finite(sigma / np.outer(root, root), "correlation")
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
-def correlation_from_cov(cov):
-    """Correlation matrix of a SymbolicCovariance."""
-    return correlation_matrix(cov.sigma_b, cov.names)
-
-
-def covariance_quantile_oracle(frame, i, j):
-    """Sample covariance of variables i and j straight from the definition.
-
-    Averages, over rows, the integral of the product of the deviations of
-    the row quantile functions from the barycentre quantile functions, each
-    on the fixed graded grid of ``oracle_dist_sq``, whose latent quantiles
-    every row shares. Row contributions are combined with compensated
-    summation so that results do not depend on evaluation order.
-    """
-    from .mallows import _oracle_grid
-    from .quadrature import gauss_weights
-
-    if frame.n < 2:
-        raise DataValidationError("covariance needs at least two rows")
-    c, r = frame.checked_centres_ranges()
-    dc = c - c.mean(axis=0)
-    dr = 0.5 * (r - r.mean(axis=0))
-    half, qi, qj = _oracle_grid(frame.latents[i], frame.latents[j])
-    weights = gauss_weights()
-    rows = []
-    for h in range(frame.n):
-        di = dc[h, i] + dr[h, i] * qi
-        dj = dc[h, j] + dr[h, j] * qj
-        rows.append(float(np.sum(half * ((di * dj) @ weights))))
-    return math.fsum(rows) / frame.n
-
-
-def cov_model7(frame, ddof=0):
-    """Comparison estimator: centre covariances plus a diagonal range
-    adjustment, Diag(S_RR + rbar rbar') / 24. It reads no latent, so only
-    the bounds are checked."""
-    if frame.n < 2:
-        raise DataValidationError("covariance needs at least two rows")
-    c, r = frame.checked_centres_ranges(latents=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rbar = r.mean(axis=0)
-        s_cc, s_rr, _ = _covariance_parts(c, r, ddof=ddof)
-        second = s_rr + np.outer(rbar, rbar)
-        sigma = s_cc + np.diag(np.diag(second)) / 24.0
-    return _finite(sigma, "model7 covariance")
-
-
-def frobenius_diff(m1, m2):
-    """Frobenius norm of the difference of two equally shaped matrices."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    if m1.shape != m2.shape:
-        raise DomainError("shape mismatch")
-    diff = m1 - m2
-    return math.sqrt(math.fsum((diff * diff).ravel().tolist()))

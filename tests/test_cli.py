@@ -21,7 +21,7 @@ from ivda import (
     latent_from_dict,
 )
 from ivda import cli
-from ivda._cmd_measures import _parse_latent_shorthand
+from ivda._cmd_tools import _parse_latent_shorthand
 from ivda.cli import main
 from ivda.datasets import bundled_path
 from ivda.errors import DomainError, IvdaError
@@ -683,3 +683,76 @@ def test_a_parser_built_for_its_subcommand_parses_as_the_full_one(tmp_path, caps
     full = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
     assert outcomes() == lazy
+
+
+# --- bad rows through the streamed readers -------------------------------------
+
+_FIT_ROWS = [f"x,r{i},{(i - 5.5) / 7}\n" for i in range(12)]
+_NOT_FINITE = [{"rule": "not-finite", "row": 0, "column": 0,
+                "message": "non-finite bound at row 0, variable a"}]
+_KEY_RULE = "record key must be a non-empty tuple of non-empty strings"
+
+
+# each command's table, and the exit code, message and violations it gives;
+# {path} stands for the table's path. A quoted cell that spans lines counts
+# every line it takes
+@pytest.mark.parametrize("command, text, code, message, violations", [
+    ("aggregate", "g,variable,value\na,x,1\n,,\na,x,2\n\nb,x,3\n,,\nb,x,5\n", 0, None, None),
+    ("aggregate", 'g,variable,value\n"a\nb",x,1\n"a\nb",x,2\nc,x,zz\n', 2,
+     "{path}:6: cannot parse value field", None),
+    ("aggregate", "g,variable,value\na,x,1\na,x\n", 2,
+     "{path}:3: row has 2 fields, the header 3", None),
+    ("aggregate", "g,variable,value\na,x,1\n,x,2\n", 2, "{path}:3: " + _KEY_RULE, None),
+    ("aggregate", "g,variable,value\na,x,1\na,x,nan\n", 2,
+     "{path}:3: non-finite value for ('a',)/x", None),
+    ("aggregate", "g,variable,value\na,x,1\na,x,-inf\n", 2,
+     "{path}:3: non-finite value for ('a',)/x", None),
+    ("aggregate", "g,variable,value,g\na,x,1,b\n", 2,
+     "{path}: the header names column 'g' twice", None),
+    ("fit", "variable,row,value\n" + ",,\n".join(_FIT_ROWS[::4] + [""]) + "\n"
+     + "".join(_FIT_ROWS[1::4] + _FIT_ROWS[2::4] + _FIT_ROWS[3::4]), 0, None, None),
+    ("fit", 'variable,row,value\nx,"r\n1",0.5\nx,r2,zz\n', 2,
+     "{path}:4: cannot parse value field", None),
+    ("fit", "variable,row,value\nx,r1,0.5\nx,r2\n", 2,
+     "{path}:3: row has 2 fields, the header 3", None),
+    ("fit", "variable,row,value\n" + "".join(f"x,,{(i - 5.5) / 7}\n" for i in range(12)),
+     0, None, None),
+    ("fit", "variable,row,value\n" + "".join(_FIT_ROWS) + "x,r12,nan\n", 2,
+     "scaled values for 'x' must lie in [-1, 1]", None),
+    ("fit", "variable,row,value\n" + "".join(_FIT_ROWS) + "x,r12,inf\n", 2,
+     "scaled values for 'x' must lie in [-1, 1]", None),
+    ("fit", "variable,row,value,row\nx,r1,0.5,r2\n", 2,
+     "{path}: the header names column 'row' twice", None),
+    ("distance", "label,a.lo,a.hi\nr1,0,1\n,,\nr2,1,3\n", 0, None, None),
+    ("distance", 'label,a.lo,a.hi\n"r\n1",0,1\nr2,zz,3\n', 2,
+     "{path}:4: cannot parse variable 'a'", None),
+    ("distance", "label,a.lo,a.hi\nr1,0,1\nr2,1\n", 2,
+     "{path}:3: row has 2 fields, the header 3", None),
+    ("distance", "label,a.lo,a.hi\n,0,1\nr2,1,3\n", 0, None, None),
+    ("distance", "label,a.lo,a.hi\nr1,nan,1\nr2,1,3\n", 2,
+     "{path}: 1 validation violation(s)", _NOT_FINITE),
+    ("distance", "label,a.lo,a.hi\nr1,0,inf\nr2,1,3\n", 2,
+     "{path}: 1 validation violation(s)", _NOT_FINITE),
+    ("distance", "label,a.lo,a.hi,a.lo\nr1,0,1,2\n", 2,
+     "{path}: the header names column 'a.lo' twice", None),
+], ids=[f"{command}-{case}" for command in ("aggregate", "fit", "distance")
+        for case in ("blank", "spanning", "ragged", "empty-key", "nan", "inf", "repeated")])
+def test_streamed_readers_keep_each_bad_row_error(tmp_path, capsys, command, text, code,
+                                                  message, violations):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"aggregate": ["aggregate", "--microdata", str(path), "--out", str(out)],
+            "fit": ["fit", "--method", "kde", "--scaled", str(path), "--out", str(out)],
+            "distance": ["distance", "--intervals", str(path), "--latents", "uniform",
+                         "--out", str(out)]}[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == "" and out.exists()
+        return
+    error = {"type": "validation", "message": message.format(path=path)}
+    if violations:
+        error["violations"] = violations
+    assert json.loads(err) == {"error": error} and err.count("\n") == 1
+    assert not out.exists()

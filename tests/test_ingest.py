@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ivda import (
     MicroRecord,
     aggregate,
+    fit_kde,
+    latent_to_dict,
     load_interval_csv,
     read_microdata_csv,
     read_scaled_csv,
@@ -22,10 +24,11 @@ from ivda import (
     write_interval_csv,
     write_scaled_csv,
 )
-from ivda._tables import _read_matrix_csv, _write_matrix_csv
+from ivda._cmd_measures import _write_matrix_csv
+from ivda._cmd_tools import _read_matrix_csv
 from ivda.cli import main
 from ivda.datasets import credit_card_intervals
-from ivda.errors import DataValidationError, DomainError
+from ivda.errors import DataValidationError, DomainError, IvdaError, NumericFailure
 from ivda.interval import IntervalFrame
 
 
@@ -355,3 +358,97 @@ def test_aggregate_scales_a_cell_whose_bounds_sum_overflows(tmp_path):
     scaled = (tmp_path / "cli_scaled.csv").read_text(encoding="utf-8")
     assert scaled == "variable,row,value\nx,a,-1.0\nx,a,1.0\nx,b,-1.0\nx,b,1.0\n"
     assert scaled == (tmp_path / "lib_scaled.csv").read_text(encoding="utf-8")
+
+
+# --- the fit --method kde command against the library ----------------------
+
+def _fit_both_ways(d, bandwidth):
+    """Fit ``d/scaled.csv`` with ``ivda fit --method kde`` into ``d/cli``
+    and with the library calls into ``d/lib``.
+
+    Returns the CLI's exit code and stderr, and the library's error or None;
+    on success the library way has written what the command promises: the
+    JSON spec file and each variable's sample as np.savetxt writes it.
+    """
+    (d / "cli").mkdir()
+    (d / "lib").mkdir()
+    argv = ["fit", "--method", "kde", "--scaled", str(d / "scaled.csv"),
+            "--out", str(d / "cli" / "fit.json")]
+    if bandwidth is not None:
+        argv += ["--bandwidth", repr(bandwidth)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    try:
+        samples = read_scaled_csv(d / "scaled.csv")
+        fitted = {name: fit_kde(samples[name].values, bandwidth=bandwidth)
+                  for name in sorted(samples)}
+    except IvdaError as exc:
+        return code, err.getvalue(), exc
+    specs = {}
+    for name, dist in fitted.items():
+        sample_path = f"fit_{name}_sample.txt"
+        np.savetxt(d / "lib" / sample_path, dist.sample)
+        spec = latent_to_dict(dist, sample_path=sample_path)
+        spec["n_used"] = samples[name].values.size
+        spec["diagnostics"] = {"mean": dist.mean, "second_moment": dist.second_moment}
+        specs[name] = spec
+    (d / "lib" / "fit.json").write_text(json.dumps(specs, sort_keys=True, indent=2),
+                                        encoding="utf-8")
+    return code, err.getvalue(), None
+
+
+# the ends of [-1, 1], the tolerance past them, and zeros and ties
+_SCALED = st.one_of(st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.5, 5e-324, 1.0 + 1e-9,
+                                     -1.0 - 1e-9]),
+                    st.floats(-1.0, 1.0))
+# one cell that the reader or the sample check refuses
+_BAD_CELL = st.sampled_from(["nan", "inf", "-inf", "1.5", "-1.0000001", "abc", ""])
+
+
+@st.composite
+def _scaled_table(draw):
+    names = draw(st.lists(st.sampled_from(["x", "y,z", 'q"t', "w v"]), min_size=1,
+                          max_size=3, unique=True))
+    rows = []
+    for name in names:
+        # a kde fit needs ten values; now and then a variable has fewer
+        size = draw(st.integers(2, 9) if draw(st.integers(0, 9)) == 9 else st.integers(10, 300))
+        values = draw(st.lists(_SCALED, min_size=size, max_size=size))
+        if draw(st.integers(0, 9)) == 9:
+            values = [values[0]] * len(values)          # a constant sample
+        labels = st.sampled_from(["a", "b,c", "d\ne", ""])
+        rows += [[name, draw(labels), repr(v)] for v in values]
+    rows = draw(st.permutations(rows))
+    if draw(st.integers(0, 9)) == 9:
+        rows[draw(st.integers(0, len(rows) - 1))][2] = draw(_BAD_CELL)
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), ["", "", ""])     # written as ,,
+    bandwidth = draw(st.sampled_from([None, None, 0.01, 0.3, 2.0]))
+    return rows, bandwidth
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_scaled_table())
+def test_the_fit_kde_command_writes_what_the_library_writes(case):
+    rows, bandwidth = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        with (d / "scaled.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["variable", "row", "value"])
+            writer.writerows(rows)
+        code, stderr, refused = _fit_both_ways(d, bandwidth)
+        event(f"exit {code}")
+        if refused is not None:
+            # a constant sample has no bandwidth: a numeric failure
+            assert code == (3 if isinstance(refused, NumericFailure) else 2)
+            assert stderr.count("\n") == 1
+            assert json.loads(stderr)["error"]["message"] == str(refused)
+            assert not any((d / "cli").iterdir())
+            return
+        assert code == 0 and stderr == ""
+        written = sorted(p.name for p in (d / "cli").iterdir())
+        assert written == sorted(p.name for p in (d / "lib").iterdir())
+        for name in written:
+            assert (d / "cli" / name).read_bytes() == (d / "lib" / name).read_bytes(), name

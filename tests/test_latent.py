@@ -26,7 +26,8 @@ from ivda import (
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda._families import _cached_cross_moment
-from ivda.latent import _closed_cross_moment, _linear_quantile, _merged_knots
+from ivda._cross import _closed_cross_moment, _merged_knots
+from ivda.latent import _linear_quantile
 from ivda.quadrature import integrate
 
 from conftest import ALL_FAMILIES, fixed_rule, make_latent, trapezoid
@@ -472,6 +473,27 @@ def test_cross_moment_tables_hold_bounded_memory(rng):
     finally:
         tracemalloc.stop()
     assert held <= 48e6
+
+
+def test_the_cross_moment_cache_keeps_no_kde_alive(rng):
+    # a pair with a Kde is cached by the Kde's content, not by the Kde,
+    # whose arrays take about 99 kB
+    tri = Triangular(0.3)
+    cross_moment(Kde(rng.uniform(-1.0, 1.0, size=60)), tri)     # loads what the rule needs
+    _cached_cross_moment.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(64):
+            cross_moment(Kde(rng.uniform(-1.0, 1.0, size=60)), tri)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
+    kde = Kde(rng.uniform(-1.0, 1.0, size=60))
+    value = cross_moment(kde, tri)
+    assert cross_moment(Kde(kde.sample.copy(), bandwidth=kde.bandwidth), tri) == value
+    assert cross_moment(tri, kde) == value
 
 
 def test_cross_moment_with_degenerate_is_zero():

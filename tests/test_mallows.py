@@ -372,7 +372,7 @@ def test_distance_side_forms_never_touch_cross_moments(rng, monkeypatch):
         raise AssertionError(f"cross moment of {d1!r} and {d2!r} requested")
 
     monkeypatch.setattr("ivda.mallows.cross_moment", refuse)
-    monkeypatch.setattr("ivda._engine.cross_moment", refuse)
+    monkeypatch.setattr("ivda.moments.cross_moment", refuse)
     frame = make_mixed_frame(rng, 9)
     assert distance_matrix(frame).shape == (9, 9)
     assert sample_barycentre(frame).frechet_variance > 0.0

@@ -34,7 +34,7 @@ from ivda import (
 )
 from ivda._families import _cached_cross_moment
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda.latent import _closed_cross_moment
+from ivda._cross import _closed_cross_moment
 
 from conftest import ALL_FAMILIES, make_frame, make_latent, make_mixed_frame
 
@@ -306,11 +306,12 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
         raise AssertionError("an oracle reached the closed-form path")
 
     for target in ("ivda.latent.cross_moment", "ivda.mallows.cross_moment",
-                   "ivda._engine.cross_moment", "ivda.mallows._latent_moments",
+                   "ivda.moments.cross_moment", "ivda.mallows._latent_moments",
                    "ivda._engine._latent_moments", "ivda.moments._latent_moments",
-                   "ivda._engine._dist_sq_columns", "ivda.moments._dist_sq_columns",
-                   "ivda._engine.MomentSummary.from_latents",
-                   "ivda._families._cached_cross_moment", "ivda.latent._table_rule"):
+                   "ivda._barycentre._latent_moments", "ivda._engine._dist_sq_columns",
+                   "ivda._barycentre._dist_sq_columns",
+                   "ivda.moments.MomentSummary.from_latents",
+                   "ivda._families._cached_cross_moment", "ivda._cross._table_rule"):
         monkeypatch.setattr(target, closed_form)
     for i in range(frame.p):
         for j in range(i, frame.p):
