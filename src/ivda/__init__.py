@@ -20,8 +20,9 @@ Which module owns what:
 - ``ingest``: the public record API, on ``_aggregation``, which holds what
   the ``aggregate`` command runs (the microdata reader, the aggregation and
   the interval and scaled-sample writers). ``_tables``: the CSV rules that
-  every table shares. ``ingest`` re-exports every table reader and
-  ``ScaledSample``, each of which lives beside the stage that reads it.
+  every table shares; ``_scaled``: ``ScaledSample`` and its reader.
+  ``ingest`` re-exports every table reader and ``ScaledSample``, each of
+  which lives beside the stage that reads it.
 - ``latent``: the latent base class, ``Uniform``, ``Degenerate``, ``Kde``
   and ``fit_kde`` and the JSON (de)serialisation. ``_cross``:
   ``cross_moment``, which routes each pair, and the closed forms.
@@ -40,7 +41,8 @@ Which module owns what:
   rule and the special functions.
 - ``cli``: the parser, dispatch and error contract of the ``ivda``
   program; ``_cmd_aggregate``, ``_cmd_fit``, ``_cmd_measures`` and
-  ``_cmd_tools`` hold the subcommands' arguments and bodies.
+  ``_cmd_tools`` hold the subcommands' arguments and bodies, and
+  ``_shorthand`` the ``--latents`` shorthand.
 """
 
 from importlib import import_module as _import_module

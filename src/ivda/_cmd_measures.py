@@ -5,7 +5,8 @@ compute the paper's measures: ``distance``, ``covariance`` and
 Each command imports the library modules it runs when it runs: ``distance``
 loads the column engine (``ivda._engine``) and not ``ivda.mallows``, and no
 command loads a parametric family (``ivda._families``) unless a latent
-names one. ``barycentre`` and ``pairs-data`` read their frame through
+names one, nor the latent shorthand (``ivda._shorthand``) unless one is
+given. ``barycentre`` and ``pairs-data`` read their frame through
 ``_load_valid_frame`` too, from ``ivda._cmd_tools``.
 """
 
@@ -42,7 +43,7 @@ def _resolve_latents(frame, latents_arg):
         resolved = {name: latent_from_dict(spec, base_dir=path.parent)
                     for name, spec in mapping.items()}
     else:
-        from ._cmd_tools import _parse_latent_shorthand
+        from ._shorthand import _parse_latent_shorthand
 
         dist = latent_from_dict(_parse_latent_shorthand(latents_arg))
         resolved = dict.fromkeys(frame.names, dist)

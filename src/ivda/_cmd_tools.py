@@ -2,10 +2,10 @@
 
 ``compare`` (the Frobenius norm of the difference of two matrix CSVs),
 ``ellipse`` (the points at one distance from an interval), ``barycentre``
-and ``pairs-data`` (which read an interval frame as ``ivda._cmd_measures``
-does), the latent shorthand that ``--latents`` may give instead of a JSON
-file, and the defaults that a ``--config`` file sets. No stage of the
-analyst chain loads this module.
+and ``pairs-data`` (which read an interval frame through
+``ivda._cmd_measures``), and the defaults that a ``--config`` file sets.
+This module imports ``ivda._cmd_measures`` and never the other way round,
+so no stage of the analyst chain loads it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import DataValidationError, DomainError
+from .errors import DataValidationError
 
 
 def _config_defaults(path, sub):
@@ -35,40 +35,6 @@ def _config_defaults(path, sub):
             flag = "--" + key.replace("_", "-")
             flags.append(flag if value is True else f"{flag}={value}")
     return vars(sub.parse_known_args(flags)[0])
-
-
-# short names for three families; any other shorthand is a family's tag
-_ALIASES = {"invtriangular": "inverted_triangular", "truncnormal": "truncated_normal",
-            "beta": "shifted_beta"}
-
-
-def _parse_latent_shorthand(text):
-    """Parse 'triangular:0', 'beta:0.44,2.15', 'uniform', ... into a dict.
-
-    The parameters are the family's fields in order; a kde needs a sample
-    file, so it has no shorthand.
-    """
-    from .latent import Kde, _family
-
-    name, _, params = text.partition(":")
-    name = name.strip().lower()
-    family = _ALIASES.get(name, name)
-    cls = _family(family)
-    if cls is None or cls is Kde:
-        raise DomainError(f"unknown latent family shorthand {name!r}")
-    keys = cls._fields
-    spec = {"family": family}
-    if params:
-        values = [v for v in params.split(",") if v.strip()]
-        if len(values) > len(keys):
-            raise DomainError(f"too many parameters for latent family {name!r}")
-        for key, value in zip(keys, values):
-            try:
-                spec[key] = float(value)
-            except ValueError:
-                raise DomainError(
-                    f"latent family {name!r}: parameter {value!r} is not a number") from None
-    return spec
 
 
 def _barycentre_args(p):

@@ -204,10 +204,9 @@ def _quantile_table(dist, panels, cuts):
     return half, dist._quantile(nodes.ravel()).reshape(nodes.shape)
 
 
-# the most pairs the cross-moment cache holds
+# the most pairs the cross-moment cache holds, the oldest dropped first
 _CACHE_PAIRS = 4096
-# pairs with a Kde, keyed by content, oldest first
-_KDE_PAIRS = {}
+_PAIRS = {}
 _blake2b = None
 
 
@@ -226,38 +225,23 @@ def _content(dist):
 def _cached_cross_moment(d1, d2):
     """The table rule's cross moment of ``d1`` and ``d2``, cached per pair.
 
-    Both orders share one evaluation. A pair of parametric families is
-    cached by the latents themselves (an LRU of 4096 pairs); a pair with a
-    ``Kde`` by each ``Kde``'s content, so the cache holds no ``Kde``, with
-    the oldest of 4096 such pairs dropped first.
+    A pair is keyed by its latents' content, a ``Kde`` by its bandwidth and
+    a digest of its sample, so the cache holds no ``Kde``. The rule is
+    symmetric bit for bit, so both orders share one entry.
     """
-    if not (isinstance(d1, Kde) or isinstance(d2, Kde)):
-        return _parametric_cross_moment(d1, d2)
     if hash(d2) < hash(d1):
         d1, d2 = d2, d1
     key = _content(d1), _content(d2)
-    value = _KDE_PAIRS.get(key)
+    value = _PAIRS.get(key)
     if value is None:
-        value = _KDE_PAIRS[key] = _table_rule(d1, d2)
-        if len(_KDE_PAIRS) > _CACHE_PAIRS:
-            del _KDE_PAIRS[next(iter(_KDE_PAIRS))]
+        value = _PAIRS[key] = _table_rule(d1, d2)
+        if len(_PAIRS) > _CACHE_PAIRS:
+            del _PAIRS[next(iter(_PAIRS))]
     return value
 
 
 def _cache_clear():
-    _parametric_cross_moment.cache_clear()
-    _KDE_PAIRS.clear()
-
-
-_cached_cross_moment.cache_clear = _cache_clear
-
-
-@functools.lru_cache(maxsize=_CACHE_PAIRS)
-def _parametric_cross_moment(d1, d2):
-    # the rule is symmetric bit for bit, so both orders share one evaluation
-    if hash(d2) < hash(d1):
-        return _parametric_cross_moment(d2, d1)
-    return _table_rule(d1, d2)
+    _PAIRS.clear()
 
 
 def _table_rule(d1, d2):

@@ -1,0 +1,65 @@
+"""The scaled-microdata table as the ``fit`` stage reads it: ``ScaledSample``
+and ``read_scaled_csv``, which ``ivda.ingest`` re-exports. Its writer runs
+on plain floats in ``ivda._aggregation``, so the ``aggregate`` stage, which
+writes the table, compiles none of this. numpy loads when one of them runs.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from ._tables import _check_scaled, _read_table, _refuse_repeated
+from ._value import Record
+from .errors import DataValidationError, DomainError
+
+
+class ScaledSample(Record):
+    """Microdata of one variable mapped onto [-1, 1], with row provenance.
+
+    Every value must be finite and within 1e-9 of [-1, 1]; it is clamped
+    into [-1, 1].
+    """
+
+    __slots__ = _fields = ("variable", "values", "rows")
+
+    def __init__(self, variable, values, rows=None):
+        import numpy as np
+
+        values = np.asarray(values, dtype=float)
+        _check_scaled(variable, values.ravel().tolist())
+        if rows is not None and len(rows) != values.size:
+            raise DomainError("provenance length must match the number of values")
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "values", np.clip(values, -1.0, 1.0))
+        object.__setattr__(self, "rows", rows)
+
+
+def read_scaled_csv(path):
+    """Read long-form scaled microdata (variable,row,value) back into
+    ScaledSample objects, by variable."""
+    import numpy as np
+
+    path = Path(path)
+    rows = _read_table(path)
+    header = next(rows)
+    _refuse_repeated(header, path)
+    required = ("variable", "row", "value")
+    if not set(required).issubset(header):
+        raise DataValidationError(
+            f"{path}: header must contain columns {sorted(required)}")
+    var_col, row_col, val_col = map(header.index, required)
+    data = {}
+    for line, cells in rows:
+        try:
+            value = float(cells[val_col])
+        except ValueError:
+            raise DataValidationError(
+                f"{path}:{line}: cannot parse value field") from None
+        entry = data.get(cells[var_col])
+        if entry is None:
+            entry = data[cells[var_col]] = ([], [])
+        entry[0].append(value)
+        entry[1].append(cells[row_col])
+    return {name: ScaledSample(variable=name, values=np.array(values),
+                               rows=tuple(row_ids))
+            for name, (values, row_ids) in data.items()}

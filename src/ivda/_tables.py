@@ -9,7 +9,7 @@ Each format lives beside the code of the stage that reads or writes it, so
 a stage compiles only its own: the microdata reader and the interval and
 scaled-sample writers in ``ivda._aggregation`` (with ``_write_csv``, which
 ``ellipse`` and ``pairs-data`` write with too), the scaled-sample reader
-in ``ivda._cmd_fit``, the interval reader in ``ivda.interval``, the summary
+in ``ivda._scaled``, the interval reader in ``ivda.interval``, the summary
 reader in ``ivda.estimation`` and the matrix writer and reader in the
 commands that use them. ``ivda.ingest`` re-exports the public readers and
 writers, and so does this module, on first access.

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 # the public names read from the module of the stage that reads them
-_ELSEWHERE = {"ScaledSample": "_cmd_fit", "read_scaled_csv": "_cmd_fit",
+_ELSEWHERE = {"ScaledSample": "_scaled", "read_scaled_csv": "_scaled",
               "load_interval_csv": "interval", "read_summary_csv": "estimation"}
 
 
@@ -144,7 +144,7 @@ class AggregateResult(Value):
     def scaled(self):
         import numpy as np
 
-        from ._cmd_fit import ScaledSample
+        from ._scaled import ScaledSample
 
         return {name: ScaledSample(variable=name, values=np.array(values), rows=rows)
                 for name, (rows, values) in self.samples.items()}

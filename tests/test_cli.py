@@ -21,7 +21,7 @@ from ivda import (
     latent_from_dict,
 )
 from ivda import cli
-from ivda._cmd_tools import _parse_latent_shorthand
+from ivda._shorthand import _parse_latent_shorthand
 from ivda.cli import main
 from ivda.datasets import bundled_path
 from ivda.errors import DomainError, IvdaError

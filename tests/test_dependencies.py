@@ -136,7 +136,7 @@ def _chain_stages(d):
          {"errors", "_tables", "_aggregation", "_cmd_aggregate"}),
         (["fit", "--method", "kde", "--scaled", str(d / "scaled.csv"),
           "--out", str(d / "fit.json")],
-         {"_value", "errors", "_tables", "latent", "_cmd_fit"}),
+         {"_value", "errors", "_tables", "latent", "_scaled", "_cmd_fit"}),
         (["distance", *frame, "--out", str(d / "dist.csv")], _FRAME | {"_engine"}),
         (["covariance", *frame, "--out", str(d / "cov.csv"),
           "--report-out", str(d / "report.json")], _FRAME | {"_cross", "moments"}),

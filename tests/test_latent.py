@@ -25,7 +25,7 @@ from ivda import (
     silverman_bandwidth,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda._families import _cached_cross_moment
+from ivda._families import _cache_clear, _cached_cross_moment
 from ivda._cross import _closed_cross_moment, _merged_knots
 from ivda.latent import _linear_quantile
 from ivda.quadrature import integrate
@@ -480,7 +480,7 @@ def test_the_cross_moment_cache_keeps_no_kde_alive(rng):
     # whose arrays take about 99 kB
     tri = Triangular(0.3)
     cross_moment(Kde(rng.uniform(-1.0, 1.0, size=60)), tri)     # loads what the rule needs
-    _cached_cross_moment.cache_clear()
+    _cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -32,7 +32,7 @@ from ivda import (
     sample_barycentre,
     symbolic_covariance,
 )
-from ivda._families import _cached_cross_moment
+from ivda._families import _cache_clear, _cached_cross_moment
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda._cross import _closed_cross_moment
 
@@ -328,7 +328,7 @@ def test_no_library_path_reaches_the_adaptive_integrator(rng, monkeypatch):
 
     for target in ("ivda.quadrature.integrate", "ivda.quadrature._refine"):
         monkeypatch.setattr(target, adaptive)
-    _cached_cross_moment.cache_clear()
+    _cache_clear()
     symbolic_covariance(make_mixed_frame(rng, 12))
     empirical_moment_summary([VariableMicrodata(name="a", sample=rng.uniform(-0.8, 0.8, 200)),
                               VariableMicrodata(name="b", latent=Triangular(-0.3))])
