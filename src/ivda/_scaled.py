@@ -26,7 +26,8 @@ class ScaledSample(Record):
         import numpy as np
 
         values = np.asarray(values, dtype=float)
-        _check_scaled(variable, values.ravel().tolist())
+        # the extremes decide, and a NaN propagates into both
+        _check_scaled(variable, (values.min(), values.max()) if values.size else ())
         if rows is not None and len(rows) != values.size:
             raise DomainError("provenance length must match the number of values")
         object.__setattr__(self, "variable", variable)
@@ -49,6 +50,8 @@ def read_scaled_csv(path):
             f"{path}: header must contain columns {sorted(required)}")
     var_col, row_col, val_col = map(header.index, required)
     data = {}
+    # the table repeats a cell's row label once per value: keep one copy each
+    labels = {}
     for line, cells in rows:
         try:
             value = float(cells[val_col])
@@ -59,7 +62,8 @@ def read_scaled_csv(path):
         if entry is None:
             entry = data[cells[var_col]] = ([], [])
         entry[0].append(value)
-        entry[1].append(cells[row_col])
+        label = cells[row_col]
+        entry[1].append(labels.setdefault(label, label))
     return {name: ScaledSample(variable=name, values=np.array(values),
                                rows=tuple(row_ids))
             for name, (values, row_ids) in data.items()}

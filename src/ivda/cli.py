@@ -23,10 +23,17 @@ No module imports this one, which ``python -m ivda.cli`` runs as
 ``__main__``: an import would compile it a second time.
 
 The ``ivda`` program (the console script and ``python -m ivda.cli``) is
-``run()``: ``main()`` with the cyclic garbage collector off, and its objects
-frozen before the interpreter exits. Cycles a command makes are reclaimed
-only when its process ends. ``main()`` itself leaves the collector alone,
-so in-process callers keep theirs.
+``run()``: ``main()`` with the cyclic garbage collector off, after which
+the process flushes stdout and stderr and ends with ``os._exit``, skipping
+interpreter shutdown. Cycles a command makes are reclaimed only when its
+process ends, and every command closes its files and joins its threads
+before ``main()`` returns. An exception out of ``main()`` still prints its
+traceback and exits 1. While a profiler or tracer watches the process
+(``sys.getprofile()``, ``sys.gettrace()`` or a ``sys.monitoring`` tool, as
+under ``python -m cProfile -m ivda.cli``), or when a flush fails,
+``run()`` returns the code and the interpreter exits as usual, so their
+reports and the failure are written. ``main()`` itself returns and leaves
+the collector alone, so in-process callers keep theirs.
 """
 
 from __future__ import annotations
@@ -130,19 +137,28 @@ def main(argv=None):
 
 
 def run():
-    """Run ``main()`` as the ``ivda`` program and return its exit code.
+    """Run ``main()`` as the ``ivda`` program and end the process with its
+    exit code.
 
-    The process ends after one command, and reference counting frees every
-    acyclic object, so cyclic collection only costs time: with the collector
-    off, loading numpy and ivda runs no collection, and freezing what is
-    left spares interpreter shutdown its full collections.
+    One command runs per process, and reference counting frees every
+    acyclic object, so cyclic collection and interpreter shutdown only cost
+    time. The module docstring says why ending at ``os._exit`` loses
+    nothing, and when this returns the code to a normal exit instead.
     """
-    import gc
+    import gc, os
 
     gc.disable()
     code = main()
-    gc.freeze()
-    return code
+    # from Python 3.12 cProfile, and coverage if asked, watch through sys.monitoring
+    if sys.getprofile() or sys.gettrace() or hasattr(sys, "monitoring") and any(
+            map(sys.monitoring.get_tool, range(6))):
+        return code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

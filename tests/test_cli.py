@@ -511,11 +511,18 @@ _CHAIN = [
 _RAGGED = ["distance", "--intervals", "ragged.csv", "--latents", "uniform", "--out", "bad.csv"]
 
 
+def _fresh_env(**extra):
+    # the environment of a fresh interpreter that imports ivda from the same
+    # place as this one, its stdout block-buffered on a pipe as by default, so
+    # that a lost flush loses output; an empty value unsets a variable
+    env = {**os.environ, "PYTHONPATH": str(Path(ivda.__file__).resolve().parents[1]),
+           "PYTHONUNBUFFERED": "", **extra}
+    return {name: value for name, value in env.items() if value}
+
+
 def _fresh_python(args, cwd):
-    # a fresh interpreter that imports ivda from the same place as this one
-    env = {**os.environ, "PYTHONPATH": str(Path(ivda.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_fresh_env(),
+                          capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("bandwidth, message", [
@@ -602,25 +609,98 @@ def test_ellipse_refuses_a_non_finite_result(tmp_path):
     assert not (tmp_path / "e.csv").exists()
 
 
+_THREADED = ["distance", "--intervals", "iv.csv", "--latents", "fit.json", "--threads", "2",
+             "--out", "dist2.csv"]
+_OVERFLOWS = ["covariance", "--intervals", "huge.csv", "--latents", "uniform", "--out", "c3.csv"]
+
+
 def test_the_program_writes_what_main_writes(tmp_path, capsys, monkeypatch):
     # python -m ivda.cli runs run(), one fresh interpreter per command, as the
-    # console script does; main() runs here, in one directory of its own
+    # console script does, and ends at os._exit; main() runs here, in one
+    # directory of its own
     program, library = tmp_path / "program", tmp_path / "library"
     for d in (program, library):
         d.mkdir()
         (d / "ragged.csv").write_text("label,a.lo,a.hi\nr1,1,2\nr2,1\n", encoding="utf-8")
+        (d / "huge.csv").write_text(_HUGE["centre-sum-overflows"], encoding="utf-8")
     monkeypatch.chdir(library)
-    for argv, code in [*[(argv, 0) for argv in _CHAIN], (_RAGGED, 2)]:
+    runs = [*[(argv, 0) for argv in _CHAIN], (_THREADED, 0), (_OVERFLOWS, 3), (_RAGGED, 2)]
+    for argv, code in runs:
         done = _fresh_python(["-m", "ivda.cli", *argv], program)
         assert done.returncode == code, done.stderr
         assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv), argv
+        assert len((done.stdout or done.stderr).splitlines()) == 1
     assert json.loads(done.stderr)["error"]["message"] == \
         "ragged.csv:3: row has 2 fields, the header 3"
     files = sorted(f.name for f in program.iterdir())
     assert files == sorted(f.name for f in library.iterdir())
-    assert {"fit_air_time_sample.txt", "cov.csv", "report.json"} <= set(files)
+    assert {"fit_air_time_sample.txt", "dist2.csv", "cov.csv", "report.json"} <= set(files)
+    assert "c3.csv" not in files and "bad.csv" not in files
     for name in files:
         assert (program / name).read_bytes() == (library / name).read_bytes(), name
+    assert (program / "dist2.csv").read_bytes() == (program / "dist.csv").read_bytes()
+
+
+# a command that raises past main(): run() must let the interpreter print it
+_RAISES = """
+import sys
+from ivda import _cmd_tools, cli
+
+def ellipse(args):
+    raise RuntimeError("not an ivda error")
+
+_cmd_tools.ellipse = ellipse
+sys.argv[0] = "ivda"
+sys.exit(cli.run())
+"""
+
+
+def test_an_exception_out_of_main_still_gets_a_traceback(tmp_path):
+    done = _fresh_python(["-c", _RAISES, "ellipse", "--x0", "0,0", "--delta", "1",
+                          "--out", "e.csv"], tmp_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert done.stderr.endswith("RuntimeError: not an ivda error\n")
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_a_profiled_run_still_writes_its_profile(tmp_path):
+    # the profiler prints its table at interpreter exit, which run() then keeps
+    (tmp_path / "huge.csv").write_text(_HUGE["centre-sum-overflows"], encoding="utf-8")
+    done = _fresh_python(["-m", "cProfile", "-s", "tottime", "-m", "ivda.cli", "distance",
+                          "--intervals", "huge.csv", "--latents", "uniform", "--out", "d.csv"],
+                         tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    summary, *table = done.stdout.splitlines()
+    assert json.loads(summary) == {"out": "d.csv", "rows": 2}
+    assert " function calls " in table[0] and "Ordered by: internal time" in done.stdout
+    assert "(distance_matrix)" in done.stdout
+
+
+_BY_MAIN = "import sys; from ivda.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_exits_as_a_normal_exit_does(tmp_path, buffered):
+    # stdout is a pipe whose reader has gone: the summary line cannot be
+    # written. Block-buffered, the failure shows at the last flush, which
+    # the interpreter's own exit reports with status 120; unbuffered,
+    # print() raises in main(), which reports it with status 2
+    argv = ["ellipse", "--x0", "0,0", "--delta", "1", "--out", "e.csv"]
+    outcomes = []
+    for args in (["-m", "ivda.cli", *argv], ["-c", _BY_MAIN, *argv]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, *args], cwd=tmp_path, stdout=write,
+                                  stderr=subprocess.PIPE, text=True,
+                                  env=_fresh_env(PYTHONUNBUFFERED="" if buffered else "1"))
+        finally:
+            os.close(write)
+        outcomes.append((done.returncode, done.stderr))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (120 if buffered else 2), outcomes[0][1]
+    assert "Broken pipe" in outcomes[0][1]
 
 
 _KEEPS_GC = """

@@ -29,6 +29,7 @@ from ivda._cmd_tools import _read_matrix_csv
 from ivda.cli import main
 from ivda.datasets import credit_card_intervals
 from ivda.errors import DataValidationError, DomainError, IvdaError, NumericFailure
+from ivda.ingest import ScaledSample
 from ivda.interval import IntervalFrame
 
 
@@ -258,6 +259,36 @@ def test_scaled_csv_roundtrip(tmp_path):
     assert set(back) == set(scaled)
     assert np.allclose(back["x"].values, scaled["x"].values)
     assert back["x"].rows == scaled["x"].rows
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), 1.0 + 2e-9, -1.0 - 2e-9])
+def test_scaled_sample_refuses_a_value_outside_its_range_anywhere(bad):
+    for at in (0, 2, 3):
+        values = [0.5, -1.0 - 1e-9, 0.0, 1.0 + 1e-9]
+        values[at] = bad
+        with pytest.raises(DataValidationError, match=r"must lie in \[-1, 1\]"):
+            ScaledSample("x", values)
+    assert ScaledSample("x", []).values.size == 0
+    assert ScaledSample("x", [[1.0 + 1e-9], [-1.0 - 1e-9]]).values.tolist() == [[1.0], [-1.0]]
+
+
+def test_the_scaled_reader_keeps_one_copy_of_each_row_label(tmp_path):
+    # the table repeats a cell's label once per value; what stays is a float
+    # and a reference per value (16 bytes), not a string per value
+    n = 40_000
+    path = tmp_path / "scaled.csv"
+    path.write_text("variable,row,value\n" + "".join(
+        f"x,{k % 12 + 1}:carrier,{(k % 2001) / 1000 - 1!r}\n" for k in range(n)),
+        encoding="utf-8")
+    tracemalloc.start()
+    try:
+        samples = read_scaled_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(map(id, samples["x"].rows))) == 12
+    assert held < 24 * n and peak < 96 * n
+    assert samples["x"].rows[13] == "2:carrier" and samples["x"].values[1000] == 0.0
 
 
 # --- the aggregate command against the library -----------------------------
