@@ -24,17 +24,17 @@ Which module owns what:
   ``ingest`` re-exports every table reader and ``ScaledSample``, each of
   which lives beside the stage that reads it.
 - ``latent``: the latent base class, ``Uniform``, ``Degenerate``, ``Kde``
-  and ``fit_kde`` and the JSON (de)serialisation. ``_cross``:
-  ``cross_moment``, which routes each pair, and the closed forms.
-  ``_families``: the triangular, inverted triangular, truncated-normal and
-  beta families and the table rule for cross moments without a closed
-  form. ``latent`` re-exports the names of both.
+  and ``fit_kde`` and the JSON (de)serialisation. ``_families``: the
+  triangular, inverted triangular, truncated-normal and beta families and
+  the table rule for cross moments without a closed form. ``latent``
+  re-exports their names and ``moments``' cross moments.
 - ``_engine``: the column engine (``distance_matrix``) that every
   vectorised distance runs. ``mallows``: the published scalar distance
   forms, their oracle, the Mahalanobis form and the iso-distance ellipse,
   and the engine's public names.
-- ``moments``: the symbolic covariance, ``MomentSummary`` and the
-  eigenvalues; ``_barycentre``: barycentres, Frechet variances,
+- ``moments``: the symbolic covariance, ``MomentSummary``, the
+  eigenvalues and ``cross_moment``, which routes each pair, with the closed
+  forms; ``_barycentre``: barycentres, Frechet variances,
   correlation matrices and the covariance oracle, which ``moments``
   re-exports. ``estimation``: the beta and triangular-Pearson fits and the
   summary-statistics reader. ``quadrature`` and ``special``: the fixed-grid

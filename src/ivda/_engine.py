@@ -31,16 +31,7 @@ import numpy as np
 from .errors import NumericFailure
 from .latent import _latent_moments
 
-__all__ = ["MomentSummary", "distance_matrix"]
-
-
-def __getattr__(name):
-    # MomentSummary, which only the covariance builds, lives in ivda.moments
-    if name != "MomentSummary":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .moments import MomentSummary
-
-    return MomentSummary
+__all__ = ["distance_matrix"]
 
 
 # rows per distance-matrix block: a fixed size bounds the buffers at five

@@ -4,11 +4,12 @@ for cross moments that have no closed form.
 ``Triangular``, ``InvertedTriangular``, ``TruncatedNormal`` and
 ``ShiftedBeta`` live here, with ``_cached_cross_moment``, the graded
 fixed-grid quadrature for every cross moment without a closed form, a
-route that ``ivda._cross.cross_moment`` decides. ``ivda.latent`` re-exports
-the four families and loads this module on first use, so a chain that runs
-on ``Kde`` latents, whose cross moments are closed, never compiles it. Only
-the truncated-normal and beta families need the special functions, and
-they import them when they use them.
+route that ``ivda.moments.cross_moment`` decides, and
+``_quantile_tables``, the quantile tables that the rule and both oracles
+read. ``ivda.latent`` re-exports the four families and loads this module on
+first use, so a chain that runs on ``Kde`` latents, whose cross moments are
+closed, never compiles it. Only the truncated-normal and beta families need
+the special functions, and they import them when they use them.
 """
 
 from __future__ import annotations
@@ -198,10 +199,39 @@ _TABLE_CUTS = frozenset(_TABLE_GRADING) | {1.0 - g for g in _TABLE_GRADING}
 
 @functools.lru_cache(maxsize=256)
 def _quantile_table(dist, panels, cuts):
-    """Half-widths of the panels of ``fixed_grid(panels, cuts)`` and the
-    quantiles of ``dist`` at its nodes, one row of 32 per panel; cached."""
     half, nodes = fixed_grid(panels, cuts)
     return half, dist._quantile(nodes.ravel()).reshape(nodes.shape)
+
+
+def _knotted(dist):
+    # a quantile linear between interior knots, a Kde's cdf knots
+    knots = dist._linear_knots
+    return knots is not None and len(knots) > 2
+
+
+def _quantile_tables(d1, d2, panels, cuts, at_knots):
+    """Half-widths of the panels of ``fixed_grid(panels, cuts)``, with both
+    latents' breakpoints among the cuts and, if ``at_knots``, the interior
+    knots of their linear pieces too, and the quantiles of ``d1`` and ``d2``
+    at its nodes, one row of 32 per panel.
+
+    The one place that decides which tables are cached. A table that
+    involves a latent linear between interior knots, a ``Kde``, is built
+    for each call: the Kde's own, which a cache would keep alive with its
+    arrays (about 99 kB), and, on a grid cut at its knots, its partner's,
+    which serves that pair alone and holds about 4.2k x 32 floats (1.1 MB).
+    ``breakpoints()`` leaves those knots out, so that they stay off the
+    oracle's grid. Every other table is cached.
+    """
+    knots = [d._linear_knots[1:-1].tolist() for d in (d1, d2) if at_knots and _knotted(d)]
+    cuts = tuple(sorted(cuts.union(d1.breakpoints(), d2.breakpoints(), *knots)))
+
+    def table(dist):
+        build = _quantile_table.__wrapped__ if knots or _knotted(dist) else _quantile_table
+        return build(dist, panels, cuts)
+
+    (half, q1), (_, q2) = table(d1), table(d2)
+    return half, q1, q2
 
 
 # the most pairs the cross-moment cache holds, the oldest dropped first
@@ -245,17 +275,10 @@ def _cache_clear():
 
 
 def _table_rule(d1, d2):
-    # a Kde quantile kinks at every interior cdf knot; breakpoints() leaves
-    # them out so that they stay off the oracle's grid
-    knots = [d._cdf[1:-1].tolist() for d in (d1, d2) if isinstance(d, Kde)]
-    cuts = tuple(sorted(_TABLE_CUTS.union(d1.breakpoints(), d2.breakpoints(), *knots)))
-    # a grid cut at a Kde's knots serves this pair alone, and its tables hold
-    # about 4.2k x 32 floats (1.1 MB) each, so they are built but not cached
-    table = _quantile_table.__wrapped__ if knots else _quantile_table
-
+    # a Kde quantile kinks at every interior cdf knot, so the grid is cut there
     def rule(panels):
-        half, q1 = table(d1, panels, cuts)
-        return float(half @ ((q1 * table(d2, panels, cuts)[1]) @ gauss_weights()))
+        half, q1, q2 = _quantile_tables(d1, d2, panels, _TABLE_CUTS, at_knots=True)
+        return float(half @ ((q1 * q2) @ gauss_weights()))
 
     value = rule(_TABLE_PANELS)
     error = abs(value - rule(_CHECK_PANELS))

@@ -6,6 +6,7 @@ writes the table, compiles none of this. numpy loads when one of them runs.
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 from ._tables import _check_scaled, _read_table, _refuse_repeated
@@ -49,6 +50,7 @@ def read_scaled_csv(path):
         raise DataValidationError(
             f"{path}: header must contain columns {sorted(required)}")
     var_col, row_col, val_col = map(header.index, required)
+    # each variable's values as 8-byte doubles, not 32-byte Python floats
     data = {}
     # the table repeats a cell's row label once per value: keep one copy each
     labels = {}
@@ -60,10 +62,10 @@ def read_scaled_csv(path):
                 f"{path}:{line}: cannot parse value field") from None
         entry = data.get(cells[var_col])
         if entry is None:
-            entry = data[cells[var_col]] = ([], [])
+            entry = data[cells[var_col]] = (array("d"), [])
         entry[0].append(value)
         label = cells[row_col]
         entry[1].append(labels.setdefault(label, label))
-    return {name: ScaledSample(variable=name, values=np.array(values),
+    return {name: ScaledSample(variable=name, values=np.frombuffer(values),
                                rows=tuple(row_ids))
             for name, (values, row_ids) in data.items()}

@@ -12,7 +12,7 @@ scaled-sample writers in ``ivda._aggregation`` (with ``_write_csv``, which
 in ``ivda._scaled``, the interval reader in ``ivda.interval``, the summary
 reader in ``ivda.estimation`` and the matrix writer and reader in the
 commands that use them. ``ivda.ingest`` re-exports the public readers and
-writers, and so does this module, on first access.
+writers.
 """
 
 from __future__ import annotations
@@ -21,24 +21,6 @@ import csv
 from pathlib import Path
 
 from .errors import DataValidationError
-
-__all__ = [
-    "ScaledSample",
-    "read_summary_csv",
-    "load_interval_csv",
-    "write_interval_csv",
-    "write_scaled_csv",
-    "read_scaled_csv",
-]
-
-
-def __getattr__(name):
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import ingest
-
-    return getattr(ingest, name)
-
 
 def _check_scaled(variable, values):
     # NaN fails both comparisons

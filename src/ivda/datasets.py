@@ -30,12 +30,7 @@ DATA_ENV = "IVDA_DATA_DIR"
 
 
 def bundled_path(name):
-    """Path of a bundled data file, honouring the IVDA_DATA_DIR override."""
-    override = os.environ.get(DATA_ENV)
-    if override:
-        candidate = Path(override) / name
-        if candidate.exists():
-            return candidate
+    """Path of a data file packaged with ivda; IVDA_DATA_DIR does not move it."""
     return Path(str(resources.files("ivda").joinpath("data", name)))
 
 

@@ -14,12 +14,13 @@ This module owns the base class, ``Uniform``, ``Degenerate``, ``Kde`` with
 its fit (``fit_kde``), the moment arrays of the column engine
 (``_latent_moments``) and the JSON (de)serialisation: what the ``fit``,
 ``distance`` and ``covariance`` stages of a chain on ``Kde`` latents run.
-``cross_moment``, which decides each pair's route, and the closed forms
-live in ``ivda._cross``, which only the covariance loads; ``Triangular``,
-``InvertedTriangular``, ``TruncatedNormal``, ``ShiftedBeta`` and the table
-rule live in ``ivda._families``, which loads on the first use of one of
-them, and ``microdata_quantile`` in ``ivda.mallows``. Those names still
-resolve as names of this module.
+``cross_moment``, which decides each pair's route from what the two
+latents declare, and the closed forms live in ``ivda.moments``, which only
+the covariance loads; ``Triangular``, ``InvertedTriangular``,
+``TruncatedNormal``, ``ShiftedBeta`` and the table rule live in
+``ivda._families``, which loads on the first use of one of them, and
+``microdata_quantile`` in ``ivda.mallows``. Those names still resolve as
+names of this module.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # the public names that other modules define, loaded on first use: the
-# families of ivda._families, the cross moments of ivda._cross and the
+# families of ivda._families, the cross moments of ivda.moments and the
 # microdata quantile of ivda.mallows
 _ELSEWHERE = {"Triangular": "_families", "InvertedTriangular": "_families",
               "TruncatedNormal": "_families", "ShiftedBeta": "_families",
-              "cross_moment": "_cross", "quantile_correlation": "_cross",
+              "cross_moment": "moments", "quantile_correlation": "moments",
               "microdata_quantile": "mallows"}
 
 
@@ -77,6 +78,10 @@ class LatentDistribution:
 
     __slots__ = ()
     _defaults = {}
+    # the t values, 0 and 1 among them, between which the quantile is
+    # linear, or None; (0.0, 1.0) alone marks the uniform's 2t - 1 or, with
+    # a zero second moment, the point mass at 0
+    _linear_knots = None
 
     def _quantile(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,6 +123,7 @@ class Uniform(LatentDistribution, Frozen):
     """Continuous uniform weight on [-1, 1]."""
 
     __slots__ = ()
+    _linear_knots = (0.0, 1.0)
 
     def _quantile(self, t):
         return 2.0 * t - 1.0
@@ -135,6 +141,7 @@ class Degenerate(LatentDistribution, Frozen):
     """Point mass at 0; the weight of a zero-range (real-valued) variable."""
 
     __slots__ = ()
+    _linear_knots = (0.0, 1.0)
 
     def _quantile(self, t):
         return np.zeros_like(t)
@@ -241,7 +248,7 @@ class Kde(LatentDistribution):
         self._hash = hash((bandwidth, sample.tobytes()))
         self._grid = grid
         self._density_integral = float(cdf[-1])
-        self._cdf = cdf / cdf[-1]
+        self._cdf = self._linear_knots = cdf / cdf[-1]
         # the density is uniform inside each cell: sum the cell moments
         mass = np.diff(self._cdf)
         x0, x1 = grid[:-1], grid[1:]

@@ -24,10 +24,9 @@ import numpy as np
 
 from ._value import Record
 from .errors import DomainError, NumericFailure
-from ._cross import cross_moment, quantile_correlation
 from ._engine import distance_matrix
 from .latent import _latent_moments
-from .moments import MomentSummary
+from .moments import MomentSummary, cross_moment, quantile_correlation
 
 __all__ = [
     "dist_sq_general",
@@ -133,12 +132,10 @@ def microdata_quantile(c, r, dist, t):
 
 def _oracle_grid(u1, u2):
     """Half-widths of the oracle grid's panels for two latents, and each
-    latent's (cached) quantiles at its nodes, one row of 32 per panel."""
-    from ._families import _quantile_table
+    latent's quantiles at its nodes, one row of 32 per panel."""
+    from ._families import _quantile_tables
 
-    cuts = tuple(sorted(_ORACLE_CUTS.union(u1.breakpoints(), u2.breakpoints())))
-    half, q1 = _quantile_table(u1, _ORACLE_PANELS, cuts)
-    return half, q1, _quantile_table(u2, _ORACLE_PANELS, cuts)[1]
+    return _quantile_tables(u1, u2, _ORACLE_PANELS, _ORACLE_CUTS, at_knots=False)
 
 
 def oracle_dist_sq(x1, u1, x2, u2):

@@ -12,15 +12,22 @@ estimator, the covariance oracle and ``frobenius_diff`` live in
 
 Every closed form reads the latent means and second moments through
 ``ivda.latent._latent_moments``; only the covariance also needs the cross
-moments, so only it builds a full ``MomentSummary``."""
+moments, so only it builds a full ``MomentSummary``. This module also holds
+``cross_moment``, which picks each pair's route from the knots between
+which each latent declares its quantile linear (``_linear_knots``), and
+``quantile_correlation``: only the symbolic covariance and the scalar forms
+of ``ivda.mallows`` read cross moments, so the ``distance`` stage never
+loads them, and the ``covariance`` stage of a chain on ``Kde`` latents,
+whose cross moments are closed, never loads the table rule of
+``ivda._families``. ``ivda.latent`` re-exports both names."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from ._cross import cross_moment
 from ._value import Record
 from .errors import DataValidationError, DomainError, NumericFailure
 from .latent import _latent_moments
@@ -71,6 +78,74 @@ def jacobi_eigenvalues(a):
     live = np.any(m != 0.0, axis=0) | np.any(m != 0.0, axis=1)
     eigs = np.linalg.eigvalsh(m[np.ix_(live, live)]) if np.any(live) else np.empty(0)
     return np.sort(np.concatenate([eigs, np.zeros(m.shape[0] - eigs.size)]))
+
+
+# --- cross moments ---------------------------------------------------------
+
+_GAUSS2 = 1.0 / math.sqrt(3.0)
+
+
+def _merged_knots(a, b):
+    # np.union1d's sort-and-compare path, without the numpy.ma import that
+    # np.unique makes on its first call
+    t = np.sort(np.concatenate((a, b)))
+    keep = np.empty(t.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(t[1:], t[:-1], out=keep[1:])
+    return t[keep]
+
+
+def _closed_cross_moment(d1, d2):
+    if d1 == d2:
+        return d1.second_moment
+    k1, k2 = d1._linear_knots, d2._linear_knots
+    if k1 is not None and k2 is not None:
+        # both quantiles are linear between the merged knots, so the
+        # two-point Gauss rule is exact there; its nodes are interior, clear
+        # of the jump a quantile makes where the cdf is flat
+        t = _merged_knots(k1, k2)
+        half = 0.5 * np.diff(t)
+        nodes = (t[:-1] + half * (1.0 - _GAUSS2), t[:-1] + half * (1.0 + _GAUSS2))
+        return float(np.sum(half * sum(d1._quantile(x) * d2._quantile(x) for x in nodes)))
+    # a quantile that is one line on (0, 1) is the point mass at 0 or 2t - 1
+    for line, knots, other in ((d1, k1, d2), (d2, k2, d1)):
+        if knots is not None and len(knots) == 2:
+            return 0.0 if line.second_moment == 0.0 else other._uniform_cross_moment()
+    return None
+
+
+def cross_moment(d1, d2):
+    """Comonotone product moment: the integral of q1(t) * q2(t) over (0, 1).
+
+    Symmetric in its arguments; equals the second moment when the two
+    distributions coincide. Each pair takes one route: the closed form
+    where one is known (a ``Degenerate`` latent, two equal latents, any pair
+    of ``Kde`` and ``Uniform``, and ``Uniform`` with ``Triangular``), else
+    the table rule of ``ivda._families``, a dot product of the two latents'
+    quantile tables on a graded grid cut at their breakpoints and at any
+    ``Kde``'s cdf knots. The rule raises ``NumericFailure`` when the rule on
+    half as many panels differs by more than 1e-9; its results are cached
+    per pair.
+    """
+    closed = _closed_cross_moment(d1, d2)
+    return closed if closed is not None else _table_rule(d1, d2)
+
+
+def _table_rule(d1, d2):
+    # the first pair without a closed form loads ivda._families and binds
+    # its cached rule in this function's place, so no later call imports
+    global _table_rule
+    from ._families import _cached_cross_moment as _table_rule
+
+    return _table_rule(d1, d2)
+
+
+def quantile_correlation(d1, d2):
+    """Correlation between the two quantile functions, in (0, 1]."""
+    v1, v2 = d1.variance, d2.variance
+    if v1 <= 0.0 or v2 <= 0.0:
+        raise NumericFailure("zero-variance latent")
+    return (cross_moment(d1, d2) - d1.mean * d2.mean) / math.sqrt(v1 * v2)
 
 
 # --- covariance building blocks ------------------------------------------

@@ -47,7 +47,7 @@ from ivda import (
 from ivda._families import _cached_cross_moment
 from ivda.datasets import credit_card_intervals, external_path
 from ivda.estimation import _binom_two_sided_p
-from ivda._cross import _closed_cross_moment
+from ivda.moments import _closed_cross_moment
 from ivda.quadrature import integrate
 from ivda.special import betainc_inv
 

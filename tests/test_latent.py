@@ -1,14 +1,18 @@
 import builtins
+import gc
 import inspect
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from ivda import (
     Degenerate,
+    Interval,
+    IntervalFrame,
     InvertedTriangular,
     Kde,
     LatentDistribution,
@@ -16,17 +20,19 @@ from ivda import (
     Triangular,
     TruncatedNormal,
     Uniform,
+    covariance_quantile_oracle,
     cross_moment,
     latent_from_dict,
     latent_to_dict,
     mahalanobis_form,
     microdata_quantile,
+    oracle_dist_sq,
     quantile_correlation,
     silverman_bandwidth,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda._families import _cache_clear, _cached_cross_moment
-from ivda._cross import _closed_cross_moment, _merged_knots
+from ivda._families import _PAIRS, _cache_clear, _cached_cross_moment
+from ivda.moments import _closed_cross_moment, _merged_knots
 from ivda.latent import _linear_quantile
 from ivda.quadrature import integrate
 
@@ -494,6 +500,46 @@ def test_the_cross_moment_cache_keeps_no_kde_alive(rng):
     value = cross_moment(kde, tri)
     assert cross_moment(Kde(kde.sample.copy(), bandwidth=kde.bandwidth), tri) == value
     assert cross_moment(tri, kde) == value
+
+
+def _seen_once(use, rng):
+    kde = Kde(rng.uniform(-1.0, 1.0, size=60))
+    use(kde)
+    return weakref.ref(kde)
+
+
+def test_no_library_cache_keeps_a_kde_alive(rng):
+    # the pair cache keys a Kde by its content, and a Kde's quantile tables
+    # are built for each call, so once the caller drops a Kde it is freed
+    tri = Triangular(0.3)
+    uses = {
+        "cross_moment": lambda kde: cross_moment(kde, tri),
+        "oracle_dist_sq": lambda kde: [oracle_dist_sq(Interval(0.0, 1.0), kde,
+                                                      Interval(0.5, 2.0), u)
+                                       for u in (kde, tri)],
+        "covariance_quantile_oracle": lambda kde: covariance_quantile_oracle(
+            IntervalFrame([[0.0, 0.0], [1.0, 0.5]], [[1.0, 2.0], [3.0, 1.5]], ("a", "b"),
+                          latents=(kde, tri)), 0, 1),
+    }
+    for name, use in uses.items():
+        seen = _seen_once(use, rng)
+        gc.collect()
+        assert seen() is None, name
+
+
+def test_the_pair_cache_drops_its_oldest_pair_first(monkeypatch):
+    monkeypatch.setattr("ivda._families._CACHE_PAIRS", 3)
+    _cache_clear()
+    pairs = [(Triangular(m), ShiftedBeta(2.0, 3.0)) for m in (-0.6, -0.2, 0.2, 0.6)]
+    values = [cross_moment(*pair) for pair in pairs]
+    assert len(_PAIRS) == 3
+    assert {frozenset(key) for key in _PAIRS} == {frozenset(pair) for pair in pairs[1:]}
+    # the evicted pair comes back to the same bits, and the next oldest goes
+    assert cross_moment(*pairs[0]).hex() == values[0].hex()
+    assert len(_PAIRS) == 3
+    assert {frozenset(key) for key in _PAIRS} == \
+        {frozenset(pair) for pair in pairs[2:] + pairs[:1]}
+    _cache_clear()
 
 
 def test_cross_moment_with_degenerate_is_zero():

@@ -34,7 +34,7 @@ from ivda import (
 )
 from ivda._families import _cache_clear, _cached_cross_moment
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda._cross import _closed_cross_moment
+from ivda.moments import _closed_cross_moment
 
 from conftest import ALL_FAMILIES, make_frame, make_latent, make_mixed_frame
 
@@ -311,7 +311,7 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
                    "ivda._barycentre._latent_moments", "ivda._engine._dist_sq_columns",
                    "ivda._barycentre._dist_sq_columns",
                    "ivda.moments.MomentSummary.from_latents",
-                   "ivda._families._cached_cross_moment", "ivda._cross._table_rule"):
+                   "ivda._families._cached_cross_moment", "ivda.moments._table_rule"):
         monkeypatch.setattr(target, closed_form)
     for i in range(frame.p):
         for j in range(i, frame.p):
