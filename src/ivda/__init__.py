@@ -13,77 +13,67 @@ Every public name below is loaded on first access (PEP 562), so a process
 compiles only the modules it uses: a CLI stage that aggregates microdata
 never loads the distance or covariance code.
 
-Which module owns what:
-
-- ``errors``: the exceptions. ``interval``: ``IntervalFrame`` and its CSV
-  reader; ``_box``: the scalar ``Interval`` and ``Box``.
-- ``ingest``: the public record API, on ``_aggregation``, which holds what
-  the ``aggregate`` command runs (the microdata reader, the aggregation and
-  the interval and scaled-sample writers). ``_tables``: the CSV rules that
-  every table shares; ``_scaled``: ``ScaledSample`` and its reader.
-  ``ingest`` re-exports every table reader and ``ScaledSample``, each of
-  which lives beside the stage that reads it.
-- ``latent``: the latent base class, ``Uniform``, ``Degenerate``, ``Kde``
-  and ``fit_kde`` and the JSON (de)serialisation. ``_families``: the
-  triangular, inverted triangular, truncated-normal and beta families and
-  the table rule for cross moments without a closed form. ``latent``
-  re-exports their names and ``moments``' cross moments.
-- ``_engine``: the column engine (``distance_matrix``) that every
-  vectorised distance runs. ``mallows``: the published scalar distance
-  forms, their oracle, the Mahalanobis form and the iso-distance ellipse,
-  and the engine's public names.
-- ``moments``: the symbolic covariance, ``MomentSummary``, the
-  eigenvalues and ``cross_moment``, which routes each pair, with the closed
-  forms; ``_barycentre``: barycentres, Frechet variances,
-  correlation matrices and the covariance oracle, which ``moments``
-  re-exports. ``estimation``: the beta and triangular-Pearson fits and the
-  summary-statistics reader. ``quadrature`` and ``special``: the fixed-grid
-  rule and the special functions.
-- ``cli``: the parser, dispatch and error contract of the ``ivda``
-  program; ``_cmd_aggregate``, ``_cmd_fit``, ``_cmd_measures`` and
-  ``_cmd_tools`` hold the subcommands' arguments and bodies, and
-  ``_shorthand`` the ``--latents`` shorthand.
+Each public name maps to the module that defines it in ``_DEFINED_IN``
+below, the one table of where a public name lives. ``_load`` reads a name
+from that module, for the package and for each public module that lists in
+its ``__all__`` a name it does not define (``latent``, ``moments``,
+``interval``, ``ingest`` and ``mallows``), so every public name resolves
+as a name of the package and of each public module that lists it, as the
+same object. The modules are cut along what each CLI stage runs: the
+private modules (``_families``, ``_box``, ``_engine``, ``_barycentre``,
+``_scaled``, ...) hold what only some stages or library callers use, and
+``cli`` with the ``_cmd_*`` modules holds the ``ivda`` program.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 __version__ = "0.1.0"
 
-# the public module each public name is read from, as space-separated names
-_MODULE_NAMES = {
+# the public modules
+_MODULES = "errors estimation ingest interval latent mallows moments quadrature special".split()
+# each public name, as space-separated names, under the module that defines it
+_DEFINED_IN = {
     "errors": "DataValidationError DomainError IvdaError NumericFailure",
-    "latent": "Degenerate InvertedTriangular Kde LatentDistribution ShiftedBeta Triangular "
-              "TruncatedNormal Uniform cross_moment fit_kde latent_from_dict latent_to_dict "
-              "microdata_quantile quantile_correlation silverman_bandwidth",
-    "interval": "Box Interval IntervalFrame Violation",
-    "mallows": "MahalanobisForm MomentSummary dist_sq_box dist_sq_general dist_sq_iid "
-               "dist_sq_mahalanobis dist_sq_musigma dist_sq_symmetric distance_matrix "
-               "iso_distance_set mahalanobis_form oracle_dist_sq reduced_vector",
-    "moments": "Barycentre SymbolicCovariance correlation_from_cov correlation_matrix "
-               "cov_model7 covariance_quantile_oracle frechet_variance frobenius_diff "
-               "jacobi_eigenvalues sample_barycentre symbolic_covariance",
+    "latent": "Degenerate Kde LatentDistribution Uniform fit_kde latent_from_dict latent_to_dict "
+              "silverman_bandwidth",
+    "_families": "InvertedTriangular ShiftedBeta Triangular TruncatedNormal",
+    "interval": "IntervalFrame Violation load_interval_csv",
+    "_box": "Box Interval",
+    "_engine": "distance_matrix",
+    "mallows": "MahalanobisForm dist_sq_box dist_sq_general dist_sq_iid dist_sq_mahalanobis "
+               "dist_sq_musigma dist_sq_symmetric iso_distance_set mahalanobis_form "
+               "microdata_quantile oracle_dist_sq reduced_vector",
+    "moments": "MomentSummary SymbolicCovariance cross_moment jacobi_eigenvalues "
+               "quantile_correlation symbolic_covariance",
+    "_barycentre": "Barycentre correlation_from_cov correlation_matrix cov_model7 "
+                   "covariance_quantile_oracle frechet_variance frobenius_diff sample_barycentre",
     "estimation": "ModeEstimates VariableMicrodata empirical_moment_summary "
-                  "estimate_modes_pearson fit_beta_mom fit_triangular_pearson "
+                  "estimate_modes_pearson fit_beta_mom fit_triangular_pearson read_summary_csv "
                   "test_mode_symmetry",
-    "ingest": "MicroRecord ScaledSample aggregate load_interval_csv read_microdata_csv "
-              "read_scaled_csv read_summary_csv scale_to_latent write_interval_csv "
+    "ingest": "MicroRecord aggregate read_microdata_csv scale_to_latent write_interval_csv "
               "write_scaled_csv",
-    "quadrature": "",
-    "special": "",
+    "_scaled": "ScaledSample read_scaled_csv",
 }
-_MODULE_OF = {name: module for module, names in _MODULE_NAMES.items()
-              for name in names.split()}
-__all__ = sorted({*_MODULE_NAMES, *_MODULE_OF})
+_HOME = {name: module for module, names in _DEFINED_IN.items() for name in names.split()}
+__all__ = sorted({*_MODULES, *_HOME})
+
+
+def _load(module, name):
+    """``name`` as an attribute of ``module``, the package or a public module,
+    which lists it in ``__all__`` without defining it: read from the module
+    that defines it (a public module of the package is itself), and kept, so
+    that later lookups skip this function. ``__import__`` loads it as an
+    import statement does, so ``-X importtime`` reports the load."""
+    if name not in _sys.modules[module].__all__:
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    home = __import__(f"{__name__}.{_HOME.get(name, name)}", fromlist=[name])
+    value = getattr(home, name) if name in _HOME else home
+    setattr(_sys.modules[module], name, value)
+    return value
 
 
 def __getattr__(name):
-    if name in _MODULE_NAMES:
-        return _import_module(f"{__name__}.{name}")
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value      # later lookups skip this function
-    return value
+    return _load(__name__, name)
 
 
 def __dir__():

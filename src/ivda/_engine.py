@@ -19,9 +19,9 @@ block size does not depend on the thread count, so neither do the results.
 A squared distance that overflows raises ``NumericFailure`` rather than
 being clamped to zero or returned as infinity.
 
-``ivda.mallows`` re-exports ``MomentSummary`` and ``distance_matrix`` beside
-the published scalar forms; the ``distance`` command loads this module and
-not that one, and the ``covariance`` command neither.
+``ivda.mallows`` re-exports ``distance_matrix`` beside the published scalar
+forms; the ``distance`` command loads this module and not that one, and the
+``covariance`` command neither.
 """
 
 from __future__ import annotations

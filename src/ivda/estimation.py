@@ -197,8 +197,8 @@ class VariableMicrodata(Record):
 
 def empirical_moment_summary(variables):
     """Latent moment summary from per-variable fits and/or scaled samples."""
-    # imported here: no fit needs the distance module
-    from .mallows import MomentSummary
+    # imported here: no fit needs the covariance module
+    from .moments import MomentSummary
 
     variables = list(variables)
     if not variables:

@@ -12,11 +12,11 @@ scaled-sample writers. They run on ``ivda._aggregation``, which is all the
 ``aggregate`` command loads: the checked row iterator of a microdata CSV,
 the grouping into cells as rows are read, and the aggregation and writers
 on plain floats, so that command loads neither numpy nor the value classes.
-The other public table readers and ``ScaledSample`` live beside the stages
-that read them and are re-exported here on first access. numpy (and
-``ivda.interval``) load on first use: in ``scale_to_latent``,
-``write_interval_csv`` and the ``frame`` and ``scaled`` of an
-``AggregateResult``.
+The other table readers of ``__all__`` and ``ScaledSample`` live beside
+the stages that read them and load on first access from the module that
+``ivda._DEFINED_IN`` names. numpy (and ``ivda.interval``) load on first
+use: in ``scale_to_latent``, ``write_interval_csv`` and the ``frame`` and
+``scaled`` of an ``AggregateResult``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 from functools import cached_property
 from pathlib import Path
 
+from . import _load
 from ._aggregation import (
     _KEY_RULE,
     _aggregate,
@@ -52,17 +53,9 @@ __all__ = [
     "read_scaled_csv",
 ]
 
-# the public names read from the module of the stage that reads them
-_ELSEWHERE = {"ScaledSample": "_scaled", "read_scaled_csv": "_scaled",
-              "load_interval_csv": "interval", "read_summary_csv": "estimation"}
-
 
 def __getattr__(name):
-    if name not in _ELSEWHERE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{_ELSEWHERE[name]}"), name)
+    return _load(__name__, name)
 
 
 class MicroRecord(Frozen):

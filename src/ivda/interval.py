@@ -7,10 +7,10 @@ dataset container; it stores raw bounds without judging them, and exposes
 ``validate`` to report every broken invariant as data rather than aborting.
 
 This module owns ``IntervalFrame``, ``Violation`` and the frame's CSV
-reader, ``load_interval_csv``, which ``ivda.ingest`` re-exports: what the
-``distance`` and ``covariance`` commands run. The scalar ``Interval`` and
-``Box``, which the published forms and the barycentre take, live in
-``ivda._box`` and resolve as names of this module on first access.
+reader, ``load_interval_csv``: what the ``distance`` and ``covariance``
+commands run. The scalar ``Interval`` and ``Box``, which the published
+forms and the barycentre take, load on first access from the module that
+``ivda._DEFINED_IN`` names.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _load
 from ._tables import _read_table, _refuse_repeated
 from ._value import Frozen
 from .errors import DataValidationError, DomainError
@@ -28,12 +29,7 @@ __all__ = ["Interval", "Box", "IntervalFrame", "Violation"]
 
 
 def __getattr__(name):
-    # the scalar Interval and Box live in ivda._box, loaded on first use
-    if name not in ("Interval", "Box"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _box
-
-    return getattr(_box, name)
+    return _load(__name__, name)
 
 
 # what a range that does not match its latent breaks, by whether the latent

@@ -14,22 +14,20 @@ This module owns the base class, ``Uniform``, ``Degenerate``, ``Kde`` with
 its fit (``fit_kde``), the moment arrays of the column engine
 (``_latent_moments``) and the JSON (de)serialisation: what the ``fit``,
 ``distance`` and ``covariance`` stages of a chain on ``Kde`` latents run.
-``cross_moment``, which decides each pair's route from what the two
-latents declare, and the closed forms live in ``ivda.moments``, which only
-the covariance loads; ``Triangular``, ``InvertedTriangular``,
-``TruncatedNormal``, ``ShiftedBeta`` and the table rule live in
-``ivda._families``, which loads on the first use of one of them, and
-``microdata_quantile`` in ``ivda.mallows``. Those names still resolve as
-names of this module.
+The other names of ``__all__`` (the parametric families, the cross moments
+and ``microdata_quantile``) load on first access from the module that
+``ivda._DEFINED_IN`` names.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+from . import _load
 from ._value import Frozen
 from .errors import DataValidationError, DomainError, IvdaError, NumericFailure
 
@@ -53,19 +51,9 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# the public names that other modules define, loaded on first use: the
-# families of ivda._families, the cross moments of ivda.moments and the
-# microdata quantile of ivda.mallows
-_ELSEWHERE = {"Triangular": "_families", "InvertedTriangular": "_families",
-              "TruncatedNormal": "_families", "ShiftedBeta": "_families",
-              "cross_moment": "moments", "quantile_correlation": "moments",
-              "microdata_quantile": "mallows"}
-
 
 def __getattr__(name):
-    if name not in _ELSEWHERE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(__import__(f"{__package__}.{_ELSEWHERE[name]}", fromlist=[name]), name)
+    return _load(__name__, name)
 
 
 class LatentDistribution:
@@ -410,8 +398,15 @@ def latent_from_dict(spec, base_dir="."):
         raise DataValidationError(f"unknown latent family {family!r}")
     try:
         if cls is Kde:
-            sample = np.loadtxt(Path(base_dir) / spec["sample_path"], ndmin=1)
-            return Kde(sample, bandwidth=spec.get("bandwidth"))
+            path = Path(base_dir) / spec["sample_path"]
+            with warnings.catch_warnings():
+                # numpy warns on a file without values, which is refused below
+                warnings.simplefilter("ignore")
+                sample = np.loadtxt(path, ndmin=2)
+            if sample.shape[1] != 1 or not len(sample):
+                raise DataValidationError(f"kde sample file {path} must hold one value on "
+                                          "each line, and at least one value")
+            return Kde(sample[:, 0], bandwidth=spec.get("bandwidth"))
         return cls(**{name: float(spec[name] if name not in cls._defaults
                                   else spec.get(name, cls._defaults[name]))
                       for name in cls._fields})

@@ -7,13 +7,13 @@ of the latent weights; ``oracle_dist_sq`` integrates the defining quantile
 integral directly and serves as the independent check on every closed form.
 
 This module owns the published forms, which are scalar functions of one
-pair, the oracle, the Mahalanobis form and the iso-distance ellipse.
-``distance_matrix`` belongs to the column engine in ``ivda._engine``,
-which every vectorised form runs, and ``MomentSummary`` to
-``ivda.moments``; both are re-exported here. ``microdata_quantile``, the
-quantile function that the oracle integrates, is re-exported by
-``ivda.latent``. The oracle loads the quadrature and the table of latent
-quantiles (``ivda.quadrature``, ``ivda._families``) only when it is called.
+pair, the oracle, ``microdata_quantile``, the quantile function that the
+oracle integrates, the Mahalanobis form and the iso-distance ellipse.
+``distance_matrix`` (the column engine, which every vectorised form runs)
+and ``MomentSummary`` load on first access from the module that
+``ivda._DEFINED_IN`` names. The oracle loads the quadrature and the table
+of latent quantiles (``ivda.quadrature``, ``ivda._families``) only when it
+is called.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 
+from . import _load
 from ._value import Record
 from .errors import DomainError, NumericFailure
-from ._engine import distance_matrix
 from .latent import _latent_moments
-from .moments import MomentSummary, cross_moment, quantile_correlation
+from .moments import cross_moment, quantile_correlation
 
 __all__ = [
     "dist_sq_general",
@@ -43,6 +43,10 @@ __all__ = [
     "iso_distance_set",
     "distance_matrix",
 ]
+
+
+def __getattr__(name):
+    return _load(__name__, name)
 
 
 def _clamp(value):

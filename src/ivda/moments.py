@@ -5,10 +5,11 @@ cross moments (``MomentSummary``'s E_UU) with the range covariances, and
 the centre/range cross covariances weighted by the latent means. This
 module holds what the ``covariance`` command runs: ``symbolic_covariance``,
 ``MomentSummary`` and ``jacobi_eigenvalues``, whose eigenvalues come from
-``np.linalg.eigvalsh`` with structural zeros split off first. The
-barycentre, the Frechet variance, correlation matrices, the model-7
-estimator, the covariance oracle and ``frobenius_diff`` live in
-``ivda._barycentre`` and resolve as names of this module on first access.
+``np.linalg.eigvalsh`` with structural zeros split off first. The other
+names of ``__all__`` (the barycentre, the Frechet variance, correlation
+matrices, the model-7 estimator, the covariance oracle and
+``frobenius_diff``) load on first access from the module that
+``ivda._DEFINED_IN`` names.
 
 Every closed form reads the latent means and second moments through
 ``ivda.latent._latent_moments``; only the covariance also needs the cross
@@ -19,7 +20,7 @@ which each latent declares its quantile linear (``_linear_knots``), and
 of ``ivda.mallows`` read cross moments, so the ``distance`` stage never
 loads them, and the ``covariance`` stage of a chain on ``Kde`` latents,
 whose cross moments are closed, never loads the table rule of
-``ivda._families``. ``ivda.latent`` re-exports both names."""
+``ivda._families``."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import math
 
 import numpy as np
 
+from . import _load
 from ._value import Record
 from .errors import DataValidationError, DomainError, NumericFailure
 from .latent import _latent_moments
@@ -46,19 +48,9 @@ __all__ = [
     "jacobi_eigenvalues",
 ]
 
-# the barycentre and every other public name that the covariance command
-# does not run, in ivda._barycentre, loaded on first use
-_ELSEWHERE = {"Barycentre", "sample_barycentre", "frechet_variance", "correlation_matrix",
-              "correlation_from_cov", "covariance_quantile_oracle", "cov_model7",
-              "frobenius_diff"}
-
 
 def __getattr__(name):
-    if name not in _ELSEWHERE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _barycentre
-
-    return getattr(_barycentre, name)
+    return _load(__name__, name)
 
 
 def jacobi_eigenvalues(a):

@@ -145,6 +145,9 @@ def _betacf(a, b, x):
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
+    # past shapes of about 1e150 a product of two factors below overflows,
+    # so each term is taken as a product of ratios, not inf / inf
+    ratios = qab > 1e150
     out = np.empty_like(x)
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
@@ -155,14 +158,20 @@ def _betacf(a, b, x):
     xa = x.copy()
     for m in range(1, _CF_MAXIT + 1):
         m2 = 2 * m
-        aa = m * (b - m) * xa / ((qam + m2) * (a + m2))
+        if ratios:
+            aa = m / (qam + m2) * ((b - m) / (a + m2)) * xa
+        else:
+            aa = m * (b - m) * xa / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
         d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
         c = 1.0 + aa / c
         c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * xa / ((a + m2) * (qap + m2))
+        if ratios:
+            aa = -(a + m) / (a + m2) * ((qab + m) / (qap + m2)) * xa
+        else:
+            aa = -(a + m) * (qab + m) * xa / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
         d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
         c = 1.0 + aa / c
@@ -196,7 +205,7 @@ def _betainc_tails(a, b, x):
     tail; the other of the two is one minus it.
     """
     lb = log_beta(a, b)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         front = np.exp(a * np.log(x) + b * np.log1p(-x) - lb)
     direct = x < (a + 1.0) / (a + b + 2.0)
     tail = np.empty_like(x)

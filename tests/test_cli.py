@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import ivda
 from ivda import (
@@ -21,10 +26,11 @@ from ivda import (
     latent_from_dict,
 )
 from ivda import cli
+from ivda._cmd_measures import _write_matrix_csv
 from ivda._shorthand import _parse_latent_shorthand
 from ivda.cli import main
 from ivda.datasets import bundled_path
-from ivda.errors import DomainError, IvdaError
+from ivda.errors import DomainError, IvdaError, NumericFailure
 
 
 @pytest.fixture
@@ -559,6 +565,24 @@ def test_failed_kde_fit_writes_no_file(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["scaled.csv"]
 
 
+@pytest.mark.parametrize("text", ["", "# no value\n", "0.1 0.2\n0.3 0.4\n-0.5 0.9\n"],
+                         ids=["empty", "comment-only", "two-columns"])
+def test_a_kde_sample_file_without_one_value_a_line_exits_2(tmp_path, text):
+    # through the program, so that numpy's warning on an empty file would reach stderr
+    (tmp_path / "iv.csv").write_text(_THREE_ROWS, encoding="utf-8")
+    (tmp_path / "u.txt").write_text(text, encoding="utf-8")
+    spec = {"family": "kde", "sample_path": "u.txt"}
+    (tmp_path / "fit.json").write_text(json.dumps({"a": spec, "b": spec}), encoding="utf-8")
+    done = _fresh_python(["-m", "ivda.cli", "distance", "--intervals", "iv.csv",
+                          "--latents", "fit.json", "--out", "dist.csv"], tmp_path)
+    assert (done.returncode, done.stdout, len(done.stderr.splitlines())) == (2, "", 1)
+    assert json.loads(done.stderr)["error"] == {
+        "type": "validation",
+        "message": "kde sample file u.txt must hold one value on each line, and at least one "
+                   "value"}
+    assert not (tmp_path / "dist.csv").exists()
+
+
 # three rows whose upper ends are (1, 3), (2, 1) and (4, 2.5), and centres
 # (0.5, 2), (1.25, 0.5) and (2.5, 2.25)
 _THREE_ROWS = "label,a.lo,a.hi,b.lo,b.hi\nr1,0,1,1,3\nr2,0.5,2,0,1\nr3,1,4,2,2.5\n"
@@ -836,3 +860,116 @@ def test_streamed_readers_keep_each_bad_row_error(tmp_path, capsys, command, tex
         error["violations"] = violations
     assert json.loads(err) == {"error": error} and err.count("\n") == 1
     assert not out.exists()
+
+
+# --- distance and covariance against the library ----------------------------
+
+def _measure_both_ways(d, command):
+    """Run ``command`` on ``d/iv.csv`` and ``d/fit.json`` through ``main`` into
+    ``d/cli.csv``, and through the library calls into ``d/lib.csv``.
+
+    Returns the exit code and stderr, and what the library refused: its error,
+    the frame's violations as the command reports them, or None.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--intervals", str(d / "iv.csv"), "--latents",
+                     str(d / "fit.json"), "--out", str(d / "cli.csv")])
+    try:
+        frame = ivda.load_interval_csv(d / "iv.csv")
+        specs = json.loads((d / "fit.json").read_text(encoding="utf-8"))
+        latents = {name: latent_from_dict(spec, base_dir=d) for name, spec in specs.items()}
+        # a variable whose ranges are all zero takes the degenerate latent
+        latents.update((name, Degenerate()) for name, ranges in zip(frame.names, frame.ranges.T)
+                       if not ranges.any())
+        frame = frame.with_latents(latents)
+        violations = frame.validate()
+        if violations:
+            return code, err.getvalue(), json.loads(json.dumps([v._asdict() for v in violations]))
+        if command == "distance":
+            matrix = ivda.distance_matrix(frame)
+            names = [frame.row_label(i) for i in range(frame.n)]
+        else:
+            matrix, names = ivda.symbolic_covariance(frame).sigma_b, frame.names
+    except IvdaError as exc:
+        return code, err.getvalue(), exc
+    _write_matrix_csv(matrix, names, d / "lib.csv")
+    return code, err.getvalue(), None
+
+
+# huge and tiny magnitudes, so that sums overflow and a width vanishes on a
+# huge bound; each cell draws one of them in four
+_BOUND = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e15, -1e15, 1e300, -1e300, 1.7e308,
+                          -1.7e308])
+_WIDTH = st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 1e300])
+_PARAMETERS = {
+    "uniform": st.just({}),
+    "inverted_triangular": st.just({}),
+    "degenerate": st.just({}),
+    "triangular": st.fixed_dictionaries({"mode": st.floats(-1.0, 1.0)}),
+    "truncated_normal": st.fixed_dictionaries(
+        {"sigma2": st.sampled_from([1e-300, 1e-6, 0.11, 4.0, 1e8])}),
+    "shifted_beta": st.fixed_dictionaries(
+        {"alpha": st.sampled_from([0.02, 0.5, 2.0, 50.0, 1e200]),
+         "beta": st.sampled_from([0.02, 1.0, 3.0, 50.0, 1e200])}),
+    "kde": st.fixed_dictionaries({}, optional={"bandwidth": st.sampled_from([0.01, 0.3, 2.0])}),
+}
+# every cross moment of these is closed; a Kde with another family takes the table rule
+_CLOSED_WITH_KDE = ("kde", "uniform", "degenerate")
+
+
+@st.composite
+def _measure_case(draw):
+    command = draw(st.sampled_from(["distance", "covariance"]))
+    p, n = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    families = draw(st.lists(st.sampled_from(sorted(_PARAMETERS)), min_size=p, max_size=p))
+    if command == "covariance" and "kde" in families:
+        families = [f if f in _CLOSED_WITH_KDE else "uniform" for f in families]
+    specs, samples = {}, {}
+    for j, family in enumerate(families):
+        specs[f"v{j}"] = {"family": family, **draw(_PARAMETERS[family])}
+        if family == "kde":
+            specs[f"v{j}"]["sample_path"] = f"v{j}.txt"
+            samples[f"v{j}.txt"] = draw(st.lists(
+                st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+                min_size=2, max_size=30))
+    # now and then a column with zero ranges throughout
+    flat = [draw(st.integers(0, 4)) == 0 for _ in range(p)]
+    rows = []
+    for i in range(n):
+        cells = []
+        for j in range(p):
+            lower = draw(_BOUND if draw(st.integers(0, 3)) == 0 else st.floats(-1e6, 1e6))
+            width = draw(_WIDTH if draw(st.integers(0, 3)) == 0 else st.floats(1e-3, 1e3))
+            cells += [lower, lower + (0.0 if flat[j] else width)]
+        rows.append([f"r{i}", *map(repr, cells)])
+    return command, rows, specs, samples
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_measure_case())
+def test_distance_and_covariance_write_what_the_library_computes(case):
+    command, rows, specs, samples = case
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        with (d / "iv.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label", *(f"v{j}.{end}" for j in range(len(specs))
+                                        for end in ("lo", "hi"))])
+            writer.writerows(rows)
+        (d / "fit.json").write_text(json.dumps(specs), encoding="utf-8")
+        for name, values in samples.items():
+            (d / name).write_text("".join("%.18e\n" % v for v in values), encoding="utf-8")
+        code, stderr, refused = _measure_both_ways(d, command)
+        event(f"{command} exit {code}")
+        if refused is None:
+            assert (code, stderr) == (0, "")
+            assert (d / "cli.csv").read_bytes() == (d / "lib.csv").read_bytes()
+            return
+        assert stderr.count("\n") == 1 and not (d / "cli.csv").exists()
+        error = json.loads(stderr)["error"]
+        if isinstance(refused, list):
+            assert (code, error["violations"]) == (2, refused)
+        else:
+            assert code == (3 if isinstance(refused, NumericFailure) else 2)
+            assert error["message"] == str(refused)

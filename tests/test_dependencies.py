@@ -103,6 +103,34 @@ def test_public_names_are_unchanged_and_each_resolves():
     assert sorted(ivda.__all__) == sorted(_PUBLIC)
 
 
+_LAZY = """
+import json, sys
+import ivda
+module = __import__(f"ivda.{sys.argv[1]}", fromlist=["__all__"])
+before = set(sys.modules)
+values = {name: getattr(module, name) for name in module.__all__}
+print(json.dumps([sorted(set(sys.modules) - before),
+                  [name for name, value in values.items()
+                   if name in ivda.__all__ and getattr(ivda, name) is not value]]))
+"""
+
+
+@pytest.mark.parametrize("module", ["latent", "moments", "interval", "ingest", "mallows",
+                                    "estimation"])
+def test_each_public_module_resolves_its_names_through_reported_imports(module):
+    # every name of the module's __all__ is the package's object of that name,
+    # and each ivda module that a lazy lookup loads shows in -X importtime, as
+    # a module loaded by an import statement does
+    env = {**os.environ, "PYTHONPATH": str(Path(ivda.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", _LAZY, module], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded, differ = json.loads(done.stdout.splitlines()[-1])
+    reported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert differ == []
+    assert {m for m in loaded if m.startswith("ivda.")} <= reported
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         ivda.no_such_name

@@ -34,9 +34,9 @@ from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda._families import _PAIRS, _cache_clear, _cached_cross_moment
 from ivda.moments import _closed_cross_moment, _merged_knots
 from ivda.latent import _linear_quantile
-from ivda.quadrature import integrate
 
 from conftest import ALL_FAMILIES, fixed_rule, make_latent, trapezoid
+from tanh_sinh import comonotone_moment, tanh_sinh
 
 PARAMETRIC = [
     Uniform(),
@@ -255,8 +255,8 @@ def test_asymmetric_triangular_closed_forms():
 @pytest.mark.parametrize("dist", PARAMETRIC)
 def test_moment_identity_by_quadrature(dist):
     cuts = dist.breakpoints()
-    mean_q = integrate(dist._quantile, breakpoints=cuts, tol=1e-11)
-    m2_q = integrate(lambda t: dist._quantile(t) ** 2, breakpoints=cuts, tol=1e-11)
+    mean_q = tanh_sinh(dist._quantile, cuts)
+    m2_q = tanh_sinh(lambda t: dist._quantile(t) ** 2, cuts)
     assert mean_q == pytest.approx(dist.mean, abs=1e-8)
     assert m2_q == pytest.approx(dist.second_moment, abs=1e-8)
 
@@ -350,7 +350,7 @@ def test_degenerate_is_point_mass_at_zero():
 def test_shifted_beta_moments_match_quadrature():
     dist = ShiftedBeta(0.44, 2.15)
     assert dist.mean == pytest.approx((0.44 - 2.15) / (0.44 + 2.15), abs=1e-15)
-    m2_q = integrate(lambda t: dist._quantile(t) ** 2, tol=1e-11)
+    m2_q = tanh_sinh(lambda t: dist._quantile(t) ** 2)
     assert m2_q == pytest.approx(dist.second_moment, abs=1e-8)
 
 
@@ -567,6 +567,32 @@ def test_cached_cross_moment_runs_no_import(monkeypatch):
     again = cross_moment(*pair)
     monkeypatch.undo()
     assert (again, imported) == (value, [])
+
+
+def _table_route_latent(rng):
+    family = rng.integers(4)
+    if family == 0:
+        return Triangular(float(rng.uniform(-1.0, 1.0)))
+    if family == 1:
+        return InvertedTriangular()
+    if family == 2:
+        return TruncatedNormal(float(10.0 ** rng.uniform(-4.0, 2.0)))
+    return ShiftedBeta(*(float(10.0 ** rng.uniform(math.log10(0.02), math.log10(50.0)))
+                         for _ in range(2)))
+
+
+def test_table_route_matches_an_independent_tanh_sinh_reference():
+    # the reference shares neither the fixed grid nor the Gauss weights of the
+    # table rule; the hard pairs come first, then 20 drawn table-route pairs
+    rng = np.random.default_rng(20240815)
+    pairs = [(ShiftedBeta(0.02, 0.02), ShiftedBeta(50.0, 0.3)),
+             (TruncatedNormal(1e-4), ShiftedBeta(2.0, 5.0))]
+    while len(pairs) < 22:
+        pair = _table_route_latent(rng), _table_route_latent(rng)
+        if _closed_cross_moment(*pair) is None:
+            pairs.append(pair)
+    for d1, d2 in pairs:
+        assert abs(cross_moment(d1, d2) - comonotone_moment(d1, d2)) < 1e-9, (d1, d2)
 
 
 # --- quantile correlation --------------------------------------------------

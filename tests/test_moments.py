@@ -322,7 +322,7 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
 
 
 def test_no_library_path_reaches_the_adaptive_integrator(rng, monkeypatch):
-    # quadrature.integrate stays as the tests' adaptive reference only
+    # quadrature.integrate stays for the benchmark's quadrature probe only
     def adaptive(*args, **kwargs):
         raise AssertionError("a library path reached quadrature.integrate")
 
