@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import DataValidationError, DomainError
+from .errors import DataValidationError
 
 
 def _fit_args(p):
@@ -57,7 +57,8 @@ def fit(args):
             spec["diagnostics"] = {"mean": float(dist.mean),
                                    "second_moment": float(dist.second_moment)}
             out[name] = spec
-    elif args.method == "triangular-pearson":
+    else:
+        # argparse's choices leave only triangular-pearson, from argv and --config alike
         from .estimation import fit_triangular_pearson, read_summary_csv
 
         if not args.summaries:
@@ -76,7 +77,5 @@ def fit(args):
             spec["diagnostics"] = {"m_hat": estimates.m_hat,
                                    "symmetric": estimates.symmetric}
             out[name] = spec
-    else:
-        raise DomainError(f"unknown fit method {args.method!r}")
     out_path.write_text(json.dumps(out, sort_keys=True, indent=2), encoding="utf-8")
     return {"fitted": sorted(out)}

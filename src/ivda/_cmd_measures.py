@@ -96,12 +96,8 @@ def _write_matrix_csv(matrix, names, path):
 def _distance_args(p):
     _frame_args(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="threads that share out the matrix's fixed row blocks; "
-                        "the output is the same for any count. Each call starts a new "
-                        "pool, so on 2 CPUs two threads are slower than one at 200 rows "
-                        "and save about 20%% of the matrix's time at 1000 rows and "
-                        "30-40%% from 2000 rows; writing the CSV takes far longer than "
-                        "the matrix (default %(default)s)")
+                   help="accepted and ignored: the matrix is computed on one thread "
+                        "(default %(default)s)")
     p.add_argument("--out")
 
 
@@ -109,7 +105,7 @@ def distance(args):
     from ._engine import distance_matrix
 
     frame = _load_valid_frame(args.intervals, args.latents)
-    matrix = distance_matrix(frame, threads=args.threads)
+    matrix = distance_matrix(frame)
     labels = [frame.row_label(i) for i in range(frame.n)]
     _write_matrix_csv(matrix, labels, args.out)
     return {"rows": frame.n, "out": str(args.out)}

@@ -14,10 +14,9 @@ order and summed in ``mallows.dist_sq_box``'s column order, which makes
 every entry bitwise equal to the scalar form's; a column whose latent mean
 is exactly 0 skips the mean term and the clamp, which change no bit there.
 The distance matrix is symmetric bit for bit, so only its upper triangle is
-computed, in fixed row blocks that threads may share out, and mirrored; the
-block size does not depend on the thread count, so neither do the results.
-A squared distance that overflows raises ``NumericFailure`` rather than
-being clamped to zero or returned as infinity.
+computed, in fixed row blocks taken in order, and mirrored. A squared
+distance that overflows raises ``NumericFailure`` rather than being clamped
+to zero or returned as infinity.
 
 ``ivda.mallows`` re-exports ``distance_matrix`` beside the published scalar
 forms; the ``distance`` command loads this module and not that one, and the
@@ -35,7 +34,7 @@ __all__ = ["distance_matrix"]
 
 
 # rows per distance-matrix block: a fixed size bounds the buffers at five
-# _ROW_BLOCK x n and keeps results independent of the threads
+# _ROW_BLOCK x n
 _ROW_BLOCK = 64
 
 
@@ -84,40 +83,24 @@ def distance_matrix(frame, threads=1):
     runs against rows ``s ... n-1``, its square roots go into those rows and
     their transpose into the mirrored columns. Negating dc and dr leaves
     every term bitwise unchanged, so each mirrored entry is the one the
-    scalar ``dist_sq_box`` loop gives. Each run of blocks allocates its
-    buffers once. ``threads > 1`` shares the fixed blocks out, one run and
-    one set of buffers per thread; each block writes its own cells, so the
-    matrix is bitwise the same for every thread count.
+    scalar ``dist_sq_box`` loop gives. The buffers are allocated once and
+    the blocks run in order. ``threads`` is accepted and has no effect.
     """
     c, r = frame.checked_centres_ranges()
     psi, delta = _latent_moments(frame.latents)
     ct, rt = np.ascontiguousarray(c.T), np.ascontiguousarray(r.T)
     n = frame.n
     out = np.empty((n, n))
-
-    def fill(starts):
-        # the four work buffers and the block's total, allocated once per run;
-        # a contiguous total sums faster than the strided rows of out
-        buffers = np.empty((5, _ROW_BLOCK * n))
-        for start in starts:
-            rows = slice(start, start + _ROW_BLOCK)
-            block = out[rows, start:]
-            *work, total = buffers[:, :block.size].reshape(5, *block.shape)
-            total.fill(0.0)
-            _dist_sq_columns(ct[:, rows, None], rt[:, rows, None], ct[:, None, start:],
-                             rt[:, None, start:], psi, delta, total, work)
-            np.sqrt(total, out=block)
-            out[start:, rows] = block.T
-
-    starts = range(0, n, _ROW_BLOCK)
-    if threads > 1 and len(starts) > 1:
-        # imported here: the pool's module loads logging and queue, which a
-        # single-threaded run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        runs = min(threads, len(starts))
-        with ThreadPoolExecutor(max_workers=runs) as pool:
-            list(pool.map(fill, [starts[k::runs] for k in range(runs)]))
-    else:
-        fill(starts)
+    # the four work buffers and the block's total; a contiguous total sums
+    # faster than the strided rows of out
+    buffers = np.empty((5, _ROW_BLOCK * n))
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = out[rows, start:]
+        *work, total = buffers[:, :block.size].reshape(5, *block.shape)
+        total.fill(0.0)
+        _dist_sq_columns(ct[:, rows, None], rt[:, rows, None], ct[:, None, start:],
+                         rt[:, None, start:], psi, delta, total, work)
+        np.sqrt(total, out=block)
+        out[start:, rows] = block.T
     return out

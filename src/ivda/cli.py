@@ -26,11 +26,11 @@ The ``ivda`` program (the console script and ``python -m ivda.cli``) is
 ``run()``: ``main()`` with the cyclic garbage collector off, after which
 the process flushes stdout and stderr and ends with ``os._exit``, skipping
 interpreter shutdown. Cycles a command makes are reclaimed only when its
-process ends, and every command closes its files and joins its threads
-before ``main()`` returns. An exception out of ``main()`` still prints its
-traceback and exits 1. While a profiler or tracer watches the process
-(``sys.getprofile()``, ``sys.gettrace()`` or a ``sys.monitoring`` tool, as
-under ``python -m cProfile -m ivda.cli``), or when a flush fails,
+process ends, and every command closes its files before ``main()``
+returns; no command starts a thread. An exception out of ``main()`` still
+prints its traceback and exits 1. While a profiler or tracer watches the
+process (``sys.getprofile()``, ``sys.gettrace()`` or a ``sys.monitoring``
+tool, as under ``python -m cProfile -m ivda.cli``), or when a flush fails,
 ``run()`` returns the code and the interpreter exits as usual, so their
 reports and the failure are written. ``main()`` itself returns and leaves
 the collector alone, so in-process callers keep theirs.

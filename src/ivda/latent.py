@@ -399,10 +399,15 @@ def latent_from_dict(spec, base_dir="."):
     try:
         if cls is Kde:
             path = Path(base_dir) / spec["sample_path"]
-            with warnings.catch_warnings():
-                # numpy warns on a file without values, which is refused below
-                warnings.simplefilter("ignore")
-                sample = np.loadtxt(path, ndmin=2)
+            try:
+                with warnings.catch_warnings():
+                    # numpy warns on a file without values, which is refused below
+                    warnings.simplefilter("ignore")
+                    sample = np.loadtxt(path, ndmin=2)
+            except ValueError as exc:
+                from ._kde_file import _refused_sample
+
+                sample = _refused_sample(path, exc)
             if sample.shape[1] != 1 or not len(sample):
                 raise DataValidationError(f"kde sample file {path} must hold one value on "
                                           "each line, and at least one value")

@@ -354,6 +354,7 @@ def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix):
     ("aggregate", "trim", "abc"),
     ("covariance", "ddof1", "no"),
     ("distance", "threads", 2.5),
+    ("fit", "method", "foo"),
 ])
 def test_config_value_is_checked_like_its_flag(tmp_path, capsys, intervals_csv,
                                                command, key, value):
@@ -565,10 +566,21 @@ def test_failed_kde_fit_writes_no_file(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["scaled.csv"]
 
 
-@pytest.mark.parametrize("text", ["", "# no value\n", "0.1 0.2\n0.3 0.4\n-0.5 0.9\n"],
-                         ids=["empty", "comment-only", "two-columns"])
-def test_a_kde_sample_file_without_one_value_a_line_exits_2(tmp_path, text):
-    # through the program, so that numpy's warning on an empty file would reach stderr
+_ONE_VALUE_A_LINE = ("kde sample file u.txt must hold one value on each line, and at least "
+                     "one value")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", _ONE_VALUE_A_LINE),
+    ("# no value\n", _ONE_VALUE_A_LINE),
+    ("0.1 0.2\n0.3 0.4\n-0.5 0.9\n", _ONE_VALUE_A_LINE),
+    ("0.1\n0.3 0.4\n", _ONE_VALUE_A_LINE),
+    ("0.1\n# a comment\nabc\n", "kde sample file u.txt, line 3: 'abc' is not a number"),
+], ids=["empty", "comment-only", "two-columns", "ragged", "not-a-number"])
+def test_a_kde_sample_file_without_one_value_a_line_exits_2(tmp_path, text, message):
+    # through the program, so that numpy's warning on an empty file would reach
+    # stderr; numpy's own messages name no file, and advise a ragged file's
+    # reader to pass ``usecols``
     (tmp_path / "iv.csv").write_text(_THREE_ROWS, encoding="utf-8")
     (tmp_path / "u.txt").write_text(text, encoding="utf-8")
     spec = {"family": "kde", "sample_path": "u.txt"}
@@ -576,10 +588,7 @@ def test_a_kde_sample_file_without_one_value_a_line_exits_2(tmp_path, text):
     done = _fresh_python(["-m", "ivda.cli", "distance", "--intervals", "iv.csv",
                           "--latents", "fit.json", "--out", "dist.csv"], tmp_path)
     assert (done.returncode, done.stdout, len(done.stderr.splitlines())) == (2, "", 1)
-    assert json.loads(done.stderr)["error"] == {
-        "type": "validation",
-        "message": "kde sample file u.txt must hold one value on each line, and at least one "
-                   "value"}
+    assert json.loads(done.stderr)["error"] == {"type": "validation", "message": message}
     assert not (tmp_path / "dist.csv").exists()
 
 
@@ -973,3 +982,38 @@ def test_distance_and_covariance_write_what_the_library_computes(case):
         else:
             assert code == (3 if isinstance(refused, NumericFailure) else 2)
             assert error["message"] == str(refused)
+
+
+_FRAME_ARGS = ["--intervals", "iv.csv", "--latents", "uniform", "--out", "out.csv"]
+
+# each refusal of a command's input, with the files it reads and the message
+# of its one JSON line
+_REFUSALS = {
+    "aggregate-no-group-column": (
+        ["aggregate", "--microdata", "m.csv", "--out", "out.csv"],
+        {"m.csv": "variable,value\nx,1\n"}, "at least one group column is required"),
+    "fit-pearson-without-summaries": (
+        ["fit", "--method", "triangular-pearson", "--out", "out.csv"], {},
+        "fit triangular-pearson requires --summaries"),
+    "latent-file-not-an-object": (
+        ["distance", "--intervals", "iv.csv", "--latents", "l.json", "--out", "out.csv"],
+        {"iv.csv": _THREE_ROWS, "l.json": "[1, 2]"}, "latent file must hold a JSON object"),
+    "config-not-an-object": (
+        ["--config", "c.json", "distance", *_FRAME_ARGS],
+        {"iv.csv": _THREE_ROWS, "c.json": '"uniform"'}, "config file must hold a JSON object"),
+    "empty-csv": (["distance", *_FRAME_ARGS], {"iv.csv": ""}, "iv.csv: empty file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_command_input_guard_exits_2(tmp_path, capsys, monkeypatch, case):
+    argv, files, message = _REFUSALS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert message in error["message"]
+    assert not (tmp_path / "out.csv").exists()

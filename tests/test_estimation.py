@@ -272,3 +272,19 @@ def test_summary_diagonal_equals_four_delta(rng):
     summary = empirical_moment_summary(variables)
     assert np.allclose(np.diag(summary.euu), 4.0 * summary.delta)
     assert np.allclose(summary.euu, summary.euu.T)
+
+
+# each guard of the summary-statistics fit, with the message it must give
+_REFUSALS = {
+    "pearson-interval-count": (
+        lambda: fit_triangular_pearson([0.1, 0.2], [0.1, 0.2], [Interval(0.0, 1.0)]),
+        "one interval is required per summary row"),
+    "modes-empty-input": (lambda: estimate_modes_pearson([], []), "empty input"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_summary_fit_guard_refuses_its_input(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(DomainError, match=message):
+        call()

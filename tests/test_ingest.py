@@ -503,3 +503,41 @@ def test_the_fit_kde_command_writes_what_the_library_writes(case):
         assert written == sorted(p.name for p in (d / "lib").iterdir())
         for name in written:
             assert (d / "cli" / name).read_bytes() == (d / "lib" / name).read_bytes(), name
+
+
+def _table(directory, text):
+    path = directory / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# each guard of the scaled-sample and summary readers and of the interval
+# writer, as a call on a scratch directory with the error and the message
+# it must give
+_REFUSALS = {
+    "scaled-missing-columns": (
+        lambda d: read_scaled_csv(_table(d, "variable,value\nx,0.5\n")),
+        DataValidationError, r"header must contain columns \['row', 'value', 'variable'\]"),
+    "summary-missing-columns": (
+        lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min\ng,x,0,0,-1\n")),
+        DataValidationError, "header must contain columns"),
+    "summary-bad-row": (
+        lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min,max\n"
+                                             "g,x,0,0,1,-1\n")),
+        DataValidationError, r"table\.csv:2: interval bounds out of order"),
+    "sample-provenance-length": (
+        lambda d: ScaledSample("x", [0.1, 0.2], rows=("r1",)),
+        DomainError, "provenance length must match the number of values"),
+    "write-unknown-mode": (
+        lambda d: write_interval_csv(IntervalFrame([[0.0]], [[1.0]], ("a",)), d / "iv.csv",
+                                     mode="midpoints"),
+        DomainError, "unknown mode 'midpoints'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_reader_and_writer_guard_refuses_its_input(tmp_path, case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "iv.csv").exists()

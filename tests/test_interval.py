@@ -20,6 +20,7 @@ from ivda import (
     dist_sq_box,
     distance_matrix,
     frechet_variance,
+    load_interval_csv,
     sample_barycentre,
     symbolic_covariance,
 )
@@ -269,3 +270,46 @@ def test_validate_the_engines_and_row_box_share_one_rule(frame):
         assert _refuses(cov_model7, frame) == bool(bad_bounds.any())
         refused = [i for i in range(frame.n) if _refuses(frame.row_box, i)]
         assert refused == np.flatnonzero(bad.any(axis=1)).tolist()
+
+
+def _interval_csv(directory, text):
+    path = directory / "iv.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+# each guard of the frame, the box and the interval reader, as a call on a
+# scratch directory with the error and the message it must give
+_REFUSALS = {
+    "frame-repeated-name": (
+        lambda d: IntervalFrame([[0, 0]], [[1, 1]], ("a", "a")),
+        DomainError, "variable names must be unique"),
+    "frame-latent-count": (
+        lambda d: IntervalFrame([[0, 0]], [[1, 1]], ("a", "b"), latents=(Uniform(),)),
+        DomainError, "expected 2 latent entries, got 1"),
+    "csv-mixed-encodings": (
+        lambda d: load_interval_csv(_interval_csv(d, "label,a.lo,a.r\nr1,0,1\n")),
+        DataValidationError, "variable 'a' mixes column encodings"),
+    "csv-no-interval-column": (
+        lambda d: load_interval_csv(_interval_csv(d, "label\nr1\n")),
+        DataValidationError, "no interval columns found"),
+    "csv-no-data-row": (
+        lambda d: load_interval_csv(_interval_csv(d, "label,a.lo,a.hi\n")),
+        DataValidationError, "no data rows"),
+    "box-latent-count": (
+        lambda d: Box((Interval(0, 1), Interval(0, 1)), (Uniform(),)),
+        DomainError, "one latent distribution is required per dimension"),
+    "box-not-an-interval": (
+        lambda d: Box(((0.0, 1.0),), (Uniform(),)),
+        DomainError, "dimension 0 is not an Interval"),
+    "box-no-latent": (
+        lambda d: Box((Interval(0, 1),), (None,)),
+        DomainError, "dimension 0 has no latent distribution"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_frame_and_box_guard_refuses_its_input(tmp_path, case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -734,3 +734,27 @@ def test_every_family_hashes_by_content(family):
     twin = make_latent(np.random.default_rng(8), family)
     assert dist is not twin and dist == twin
     assert hash(dist) == hash(twin)
+
+
+# each guard of the kernel density latent, its bandwidth and the latent
+# serialiser, with the message it must give
+_REFUSALS = {
+    "kde-one-value": (lambda: Kde([0.5], bandwidth=0.1), "kde needs at least two sample values"),
+    "kde-not-finite": (lambda: Kde([0.1, float("nan"), 0.2], bandwidth=0.1),
+                       "kde sample contains non-finite values"),
+    "kde-bandwidth-zero": (lambda: Kde([0.1, 0.2, 0.3], bandwidth=0.0),
+                           "bandwidth must be a positive real"),
+    "kde-bandwidth-negative": (lambda: Kde([0.1, 0.2, 0.3], bandwidth=-0.1),
+                               "bandwidth must be a positive real"),
+    "silverman-one-value": (lambda: silverman_bandwidth([0.3]),
+                            "bandwidth selection needs at least two values"),
+    "serialise-unknown-class": (lambda: latent_to_dict(object()),
+                                "cannot serialize latent of type object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_latent_guard_refuses_its_input(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(DomainError, match=message):
+        call()

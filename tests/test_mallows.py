@@ -412,3 +412,24 @@ def test_engine_rejects_invalid_rows(rng, case, message):
     for call in calls:
         with pytest.raises(DomainError, match=f"^row 2, variable b: {message}$"):
             call(frame)
+
+
+# each guard of the quadratic form and the iso-distance set, with the
+# message it must give
+_REFUSALS = {
+    "form-no-latent": (lambda: mahalanobis_form(()),
+                       "at least one latent distribution is required"),
+    "reduced-vector-length": (
+        lambda: reduced_vector(Box((Interval(0, 1), Interval(0, 2)), (Uniform(), Uniform())),
+                               mahalanobis_form((Uniform(),))),
+        "box dimension does not match the quadratic form"),
+    "iso-too-few-points": (lambda: iso_distance_set(Interval(0, 1), 0.1, 1.0, n_points=3),
+                           "n_points must be at least 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_form_guard_refuses_its_input(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(DomainError, match=message):
+        call()

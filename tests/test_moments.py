@@ -34,7 +34,7 @@ from ivda import (
 )
 from ivda._families import _cache_clear, _cached_cross_moment
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda.moments import _closed_cross_moment
+from ivda.moments import MomentSummary, _closed_cross_moment
 
 from conftest import ALL_FAMILIES, make_frame, make_latent, make_mixed_frame
 
@@ -426,3 +426,36 @@ def test_non_finite_covariance_has_no_correlation():
                        cov.summary, cov.names)
     with pytest.raises(NumericFailure, match="correlation is not finite"):
         correlation_from_cov(broken)
+
+
+def _uniform_frame(n):
+    return IntervalFrame(np.zeros((n, 2)), np.ones((n, 2)), ("a", "b"),
+                         latents=(Uniform(), Uniform()))
+
+
+# each guard of the moments, the barycentre and the covariance estimators,
+# with the error and the message it must give
+_REFUSALS = {
+    "eigen-not-square": (lambda: jacobi_eigenvalues(np.ones((2, 3))),
+                         DomainError, "eigensolve requires a square matrix"),
+    "summary-missing-latent": (lambda: MomentSummary.from_latents((Uniform(), None)),
+                               DomainError, "every dimension needs a latent distribution"),
+    "covariance-ddof-not-below-n": (
+        lambda: symbolic_covariance(_uniform_frame(2), ddof=2),
+        DataValidationError, "not enough rows for the requested divisor"),
+    "barycentre-no-row": (lambda: sample_barycentre(_uniform_frame(0)),
+                          DataValidationError, "barycentre of an empty frame"),
+    "frechet-variance-no-row": (lambda: frechet_variance(_uniform_frame(0)),
+                                DataValidationError, "empty frame"),
+    "oracle-one-row": (lambda: covariance_quantile_oracle(_uniform_frame(1), 0, 1),
+                       DataValidationError, "covariance needs at least two rows"),
+    "model7-one-row": (lambda: cov_model7(_uniform_frame(1)),
+                       DataValidationError, "covariance needs at least two rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_each_moment_guard_refuses_its_input(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -182,3 +182,15 @@ def test_betainc_inv_past_an_overflowing_shape_product_warns_nothing(a, b):
         return
     # the mass lies within about 1e-150 of a / (a + b), which rounds to 1
     assert np.all(x == 1.0)
+
+
+@pytest.mark.parametrize("function", [betainc, betainc_inv])
+@pytest.mark.parametrize("a, b, x, message", [
+    (0.0, 1.0, 0.5, "requires positive shape parameters"),
+    (2.0, -1.0, 0.5, "requires positive shape parameters"),
+    (2.0, 3.0, [0.5, 1.5], r"argument must lie in \[0, 1\]"),
+    (2.0, 3.0, -0.25, r"argument must lie in \[0, 1\]"),
+], ids=["a-zero", "b-negative", "x-above-one", "x-below-zero"])
+def test_each_incomplete_beta_guard_refuses_its_input(function, a, b, x, message):
+    with pytest.raises(DomainError, match=f"{function.__name__} {message}"):
+        function(a, b, x)
