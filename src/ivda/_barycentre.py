@@ -162,10 +162,27 @@ def cov_model7(frame, ddof=0):
 
 
 def frobenius_diff(m1, m2):
-    """Frobenius norm of the difference of two equally shaped matrices."""
+    """Frobenius norm of the difference of two equally shaped finite matrices.
+
+    The differences are scaled by the power of two at or above the largest
+    of them before they are squared. That is exact, so the result keeps its
+    bits wherever the plain squares neither overflow nor underflow, and
+    differences of 1e-200 no longer give 0. A difference or a norm past the
+    float range raises ``NumericFailure``."""
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     if m1.shape != m2.shape:
         raise DomainError("shape mismatch")
-    diff = m1 - m2
-    return math.sqrt(math.fsum((diff * diff).ravel().tolist()))
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+        raise DomainError("matrices to compare must be finite")
+    with np.errstate(over="ignore"):
+        diff = _finite(m1 - m2, "matrix difference")
+    largest = float(np.max(np.abs(diff), initial=0.0))
+    if largest == 0.0:
+        return 0.0
+    exponent = math.frexp(largest)[1]
+    scaled = np.ldexp(diff, -exponent)
+    try:
+        return math.ldexp(math.sqrt(math.fsum((scaled * scaled).ravel().tolist())), exponent)
+    except OverflowError:
+        raise NumericFailure("Frobenius norm is not finite: the data overflow") from None

@@ -11,6 +11,7 @@ so no stage of the analyst chain loads it.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import DataValidationError
@@ -104,9 +105,12 @@ def _read_matrix_csv(path):
     matrix = []
     for line, cells in rows:
         try:
-            matrix.append([float(v) for v in cells[1:]])
+            row = [float(v) for v in cells[1:]]
         except ValueError:
             raise DataValidationError(f"{path}:{line}: a matrix cell is not a number") from None
+        if not all(map(math.isfinite, row)):
+            raise DataValidationError(f"{path}:{line}: a matrix cell is not finite")
+        matrix.append(row)
     return np.array(matrix), header[1:]
 
 

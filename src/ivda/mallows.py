@@ -236,10 +236,11 @@ def iso_distance_set(x0, delta, radius, n_points=256):
     (c0, r0), c semi-axis ``radius`` and r semi-axis ``radius / sqrt(delta)``,
     clipped to non-negative ranges. A point that is not finite raises
     ``NumericFailure``."""
-    if delta <= 0.0:
-        raise DomainError("delta must be positive")
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
+    # NaN fails the comparison too
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be a positive finite number")
+    if not 0.0 < radius < math.inf:
+        raise DomainError("radius must be a positive finite number")
     if n_points < 4:
         raise DomainError("n_points must be at least 4")
     theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)

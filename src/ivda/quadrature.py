@@ -5,13 +5,14 @@ are laid out once by ``fixed_grid``: equal panels, cut again at the
 supplied breakpoints. The library's cross moments and both oracles use
 that grid. ``integrate`` instead bisects panels adaptively until two
 refinement levels agree; no library code calls it, and it is kept for the
-benchmark's quadrature probe. The tests' reference is a tanh-sinh rule of
-their own. Integrands must be vectorized over numpy arrays.
+benchmark's quadrature probe. Both use one 32-point Gauss-Legendre rule,
+written out below as a constant table, so no quadrature imports
+``numpy.polynomial`` or runs an eigensolver. The tests' reference is a
+tanh-sinh rule of their own. Integrands must be vectorized over numpy
+arrays.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -22,11 +23,34 @@ __all__ = ["integrate", "fixed_grid", "gauss_weights"]
 _MAX_DEPTH = 24
 
 
-@functools.cache
+# (node, weight) of the positive half of the 32-point Gauss-Legendre rule,
+# each the shortest repr of np.polynomial.legendre.leggauss(32)'s value.
+# That rule is exactly symmetric, so mirroring this half gives its arrays
+# bit for bit, without loading numpy.polynomial or LAPACK's eigensolver
+_HALF_RULE = np.array([
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+])
+_NODES = np.concatenate([-_HALF_RULE[::-1, 0], _HALF_RULE[:, 0]])
+_WEIGHTS = np.concatenate([_HALF_RULE[::-1, 1], _HALF_RULE[:, 1]])
+
+
 def _gauss_rule():
-    # the 32-point rule, built on first use: importing numpy.polynomial costs
-    # a few milliseconds that a run without quadrature need not pay
-    return np.polynomial.legendre.leggauss(32)
+    return _NODES, _WEIGHTS
 
 
 def gauss_weights():

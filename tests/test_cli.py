@@ -331,22 +331,33 @@ def test_malformed_latent_spec_exits_2(tmp_path, capsys, intervals_csv, latents,
     assert message in error["message"]
 
 
-@pytest.mark.parametrize("argv, matrix", [
-    (["ellipse", "--x0", "1"], None),
-    (["ellipse", "--x0=a,b"], None),
-    (["compare"], ",a,b\nx,1,2\ny,3,oops\n"),
-    (["compare"], ",a,b\nx,1,2\ny,3\n"),
-], ids=["x0-one-value", "x0-not-numeric", "matrix-cell-not-numeric", "matrix-row-ragged"])
-def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix):
+@pytest.mark.parametrize("argv, matrix, message", [
+    (["ellipse", "--x0", "1"], None, "--x0"),
+    (["ellipse", "--x0=a,b"], None, "--x0"),
+    (["ellipse", "--x0=1,2", "--delta", "nan"], None, "delta must be a positive finite"),
+    (["ellipse", "--x0=1,2", "--delta", "inf"], None, "delta must be a positive finite"),
+    (["ellipse", "--x0=1,2", "--radius", "nan"], None, "radius must be a positive finite"),
+    (["ellipse", "--x0=1,2", "--radius", "inf"], None, "radius must be a positive finite"),
+    (["compare"], ",a,b\nx,1,2\ny,3,oops\n", ":3: a matrix cell is not a number"),
+    (["compare"], ",a,b\nx,1,2\ny,3\n", ":3: row has 2 fields"),
+    (["compare"], ",a,b\nx,1,nan\ny,3,4\n", ":2: a matrix cell is not finite"),
+    (["compare"], ",a,b\nx,1,2\ny,-inf,4\n", ":3: a matrix cell is not finite"),
+], ids=["x0-one-value", "x0-not-numeric", "delta-nan", "delta-inf", "radius-nan", "radius-inf",
+        "matrix-cell-not-numeric", "matrix-row-ragged", "matrix-cell-nan", "matrix-cell-inf"])
+def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix, message):
     if matrix is None:
-        argv = argv + ["--delta", "0.1", "--out", str(tmp_path / "ellipse.csv")]
+        # a --delta in the case's argv comes later, and wins
+        argv = [argv[0], "--delta", "0.1", *argv[1:], "--out", str(tmp_path / "ellipse.csv")]
     else:
         path = tmp_path / "matrix.csv"
         path.write_text(matrix, encoding="utf-8")
         argv = argv + ["--a", str(path), "--b", str(path)]
-    code, _, stderr = run_cli(capsys, *argv)
-    assert code == 2
-    assert json.loads(stderr)["error"]["type"] == "validation"
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    error = json.loads(stderr)["error"]
+    assert error["type"] == "validation"
+    assert message in error["message"]
+    assert not (tmp_path / "ellipse.csv").exists()
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -640,6 +651,25 @@ def test_ellipse_refuses_a_non_finite_result(tmp_path):
     assert json.loads(done.stderr)["error"] == {
         "type": "numeric", "message": "iso-distance set is not finite: the data overflow"}
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_compare_at_the_ends_of_the_float_range(tmp_path):
+    # tiny differences do not underflow to 0; huge ones give the exact norm,
+    # or exit 3 with one JSON line where it overflows, and never a warning
+    def compare(a, b):
+        for name, cell in (("a.csv", a), ("b.csv", b)):
+            (tmp_path / name).write_text(f",x\nx,{cell!r}\n", encoding="utf-8")
+        return _fresh_python(["-m", "ivda.cli", "compare", "--a", "a.csv", "--b", "b.csv"],
+                             tmp_path)
+
+    for a, b, norm in ((1e-200, 0.0, 1e-200), (1e200, -1e200, 2e200)):
+        done = compare(a, b)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {"frobenius": norm}
+    done = compare(1e308, -1e308)
+    assert (done.returncode, done.stdout, len(done.stderr.splitlines())) == (3, "", 1)
+    assert json.loads(done.stderr)["error"] == {
+        "type": "numeric", "message": "matrix difference is not finite: the data overflow"}
 
 
 _THREADED = ["distance", "--intervals", "iv.csv", "--latents", "fit.json", "--threads", "2",

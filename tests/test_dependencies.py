@@ -60,6 +60,26 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+_TABLE_ROUTE = """
+import json, sys
+from ivda import (Interval, IntervalFrame, ShiftedBeta, Triangular, covariance_quantile_oracle,
+                  cross_moment, oracle_dist_sq)
+cross_moment(Triangular(0.2), ShiftedBeta(2.0, 3.0))
+oracle_dist_sq(Interval(0.0, 1.0), ShiftedBeta(2.0, 3.0), Interval(0.5, 2.0), Triangular(0.2))
+frame = IntervalFrame([[0.0, 1.0], [0.5, -1.0]], [[1.0, 3.0], [2.0, 0.0]], ("a", "b"),
+                      latents=(ShiftedBeta(2.0, 3.0), Triangular(0.2)))
+covariance_quantile_oracle(frame, 0, 1)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_table_route_quadrature_loads_no_polynomial_module():
+    # the 32-point Gauss-Legendre rule is a constant table, not leggauss(32)
+    loaded = _fresh_modules(_TABLE_ROUTE)
+    assert "ivda.quadrature" in loaded
+    assert "numpy.polynomial" not in loaded
+
+
 def test_cli_start_up_loads_no_unused_module():
     loaded = _fresh_modules("import json, sys, ivda.cli; print(json.dumps(sorted(sys.modules)))")
     assert "ivda.cli" in loaded

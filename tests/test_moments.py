@@ -399,6 +399,25 @@ def test_frobenius_examples(rng):
     value = frobenius_diff(corr_b, corr_7)
     assert value > 0.0
     assert round(value, 3) == pytest.approx(value, abs=5e-4)
+    # where the plain squares neither overflow nor underflow, the scaled sum
+    # keeps the bits of the plain one
+    for scale in (1.0, 1e-100, 3e100):
+        a, b = scale * rng.normal(size=(7, 5)), scale * rng.normal(size=(7, 5))
+        assert frobenius_diff(a, b) == math.sqrt(math.fsum(((a - b) ** 2).ravel().tolist()))
+    # at the ends of the float range, the value or a named error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius_diff(np.full((2, 2), 1e-200), np.zeros((2, 2))) == 2e-200
+        assert frobenius_diff([[5e-324]], [[0.0]]) == 5e-324
+        assert frobenius_diff(np.full((2, 2), 1e200), np.full((2, 2), -1e200)) == 4e200
+        assert frobenius_diff(np.full((2, 2), 1e307), np.zeros((2, 2))) == 2e307
+        with pytest.raises(NumericFailure, match="matrix difference is not finite"):
+            frobenius_diff([[1.0, 1e308]], [[0.0, -1e308]])
+        with pytest.raises(NumericFailure, match="Frobenius norm is not finite"):
+            frobenius_diff(np.full((2, 2), 1e308), np.zeros((2, 2)))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                frobenius_diff([[0.0, bad]], [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("lower, upper", [
