@@ -122,8 +122,12 @@ def _compare_args(p):
 def compare(args):
     from .moments import frobenius_diff
 
-    m1, _ = _read_matrix_csv(args.a)
-    m2, _ = _read_matrix_csv(args.b)
+    m1, names1 = _read_matrix_csv(args.a)
+    m2, names2 = _read_matrix_csv(args.b)
+    # the tables are compared cell by cell, so their columns must agree
+    if names1 != names2:
+        raise DataValidationError(
+            f"--a and --b name different columns: {names1} and {names2}")
     return {"frobenius": frobenius_diff(m1, m2)}
 
 
@@ -132,7 +136,8 @@ def _ellipse_args(p):
                                "for negative bounds)")
     p.add_argument("--delta", type=float)
     p.add_argument("--radius", type=float, default=1.0, help="(default %(default)s)")
-    p.add_argument("--n-points", type=int, default=256, help="(default %(default)s)")
+    p.add_argument("--n-points", type=int, default=256,
+                   help="from 4 to 1048576 (2**20) (default %(default)s)")
     p.add_argument("--out")
 
 

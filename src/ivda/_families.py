@@ -2,15 +2,17 @@
 for cross moments that have no closed form.
 
 ``Triangular``, ``InvertedTriangular``, ``TruncatedNormal`` and
-``ShiftedBeta`` live here, with ``_cached_cross_moment``, the graded
-fixed-grid quadrature for every cross moment without a closed form, a
-route that ``ivda.moments.cross_moment`` decides, and
-``_quantile_tables``, the quantile tables that the rule and both oracles
-read. ``ivda.latent`` re-exports the four families and loads this module on
-first use, so a chain that runs on ``Kde`` latents, whose cross moments are
-closed, never compiles it. Only the truncated-normal and beta families need
-the special functions, and they import them when they use them.
-"""
+``ShiftedBeta`` live here, with ``_table_moments``, the graded fixed-grid
+quadrature for every cross moment without a closed form, a route that
+``ivda.moments`` decides, and ``_quantile_tables``, the quantile tables
+that both oracles read. The rule takes all of a frame's pairs without a
+``Kde`` at once: it tabulates each of their latents once per panel count,
+on one grid cut at all their breakpoints, and keeps no table after the
+cross moments it feeds; its results are cached by content. ``ivda.latent``
+re-exports the four families and loads this module on first use, so a
+chain that runs on ``Kde`` latents, whose cross moments are closed, never
+compiles it. Only the truncated-normal and beta families need the special
+functions, and they import them when they use them."""
 
 from __future__ import annotations
 
@@ -209,40 +211,35 @@ def _knotted(dist):
     return knots is not None and len(knots) > 2
 
 
-def _quantile_tables(d1, d2, panels, cuts, at_knots):
+def _quantile_tables(d1, d2, panels, cuts):
     """Half-widths of the panels of ``fixed_grid(panels, cuts)``, with both
-    latents' breakpoints among the cuts and, if ``at_knots``, the interior
-    knots of their linear pieces too, and the quantiles of ``d1`` and ``d2``
-    at its nodes, one row of 32 per panel.
+    latents' breakpoints among the cuts, and the quantiles of ``d1`` and
+    ``d2`` at its nodes, one row of 32 per panel: the oracles' tables.
 
-    The one place that decides which tables are cached. A table that
-    involves a latent linear between interior knots, a ``Kde``, is built
-    for each call: the Kde's own, which a cache would keep alive with its
-    arrays (about 99 kB), and, on a grid cut at its knots, its partner's,
-    which serves that pair alone and holds about 4.2k x 32 floats (1.1 MB).
-    ``breakpoints()`` leaves those knots out, so that they stay off the
-    oracle's grid. Every other table is cached.
+    A ``Kde``'s own table is built for each call, since a cache would keep
+    it alive with its arrays (about 99 kB); every other table is cached.
+    ``breakpoints()`` leaves a Kde's cdf knots out, so that they stay off
+    the oracle's grid.
     """
-    knots = [d._linear_knots[1:-1].tolist() for d in (d1, d2) if at_knots and _knotted(d)]
-    cuts = tuple(sorted(cuts.union(d1.breakpoints(), d2.breakpoints(), *knots)))
+    cuts = tuple(sorted(cuts.union(d1.breakpoints(), d2.breakpoints())))
 
     def table(dist):
-        build = _quantile_table.__wrapped__ if knots or _knotted(dist) else _quantile_table
+        build = _quantile_table.__wrapped__ if _knotted(dist) else _quantile_table
         return build(dist, panels, cuts)
 
     (half, q1), (_, q2) = table(d1), table(d2)
     return half, q1, q2
 
 
-# the most pairs the cross-moment cache holds, the oldest dropped first
-_CACHE_PAIRS = 4096
-_PAIRS = {}
+# the most blocks the cross-moment cache holds, the oldest dropped first
+_CACHE_BLOCKS = 4096
+_BLOCKS = {}
 _blake2b = None
 
 
 def _content(dist):
     # a Kde by its bandwidth and a digest of its sample, so that a cached
-    # pair does not keep the Kde's arrays (about 99 kB) alive; hashlib, and
+    # block does not keep the Kde's arrays (about 99 kB) alive; hashlib, and
     # OpenSSL with it (about 3 ms), loads on the first such pair
     global _blake2b
     if not isinstance(dist, Kde):
@@ -252,38 +249,73 @@ def _content(dist):
     return "kde", dist.bandwidth, _blake2b(dist.sample.tobytes(), digest_size=16).digest()
 
 
-def _cached_cross_moment(d1, d2):
-    """The table rule's cross moment of ``d1`` and ``d2``, cached per pair.
+def _table_moments(pairs):
+    """The table rule's cross moment of each pair of latents in ``pairs``,
+    none of which has a closed form.
 
-    A pair is keyed by its latents' content, a ``Kde`` by its bandwidth and
-    a digest of its sample, so the cache holds no ``Kde``. The rule is
-    symmetric bit for bit, so both orders share one entry.
+    The pairs without a ``Kde`` form one block, and each pair with a Kde a
+    block of its own, whose grid is cut at the Kde's cdf knots too: about
+    4.1k cuts, which would otherwise reach every pair. A block is cached by
+    the content of its pairs, a Kde by its bandwidth and a digest of its
+    sample, so the cache holds no ``Kde``, and the rule is symmetric bit for
+    bit, so both orders of a pair share one entry. A cached block is one
+    lookup, and its value depends on its pairs alone.
     """
-    if hash(d2) < hash(d1):
-        d1, d2 = d2, d1
-    key = _content(d1), _content(d2)
-    value = _PAIRS.get(key)
-    if value is None:
-        value = _PAIRS[key] = _table_rule(d1, d2)
-        if len(_PAIRS) > _CACHE_PAIRS:
-            del _PAIRS[next(iter(_PAIRS))]
-    return value
+    keys, plain, blocks = [], {}, []
+    for d1, d2 in pairs:
+        if isinstance(d1, Kde) or isinstance(d2, Kde):
+            key = frozenset((_content(d1), _content(d2)))
+            blocks.append({key: (d1, d2)})
+        else:
+            key = frozenset((d1, d2))
+            plain[key] = d1, d2
+        keys.append(key)
+    found = {}
+    for block in [plain, *blocks] if plain else blocks:
+        name = frozenset(block)
+        values = _BLOCKS.get(name)
+        if values is None:
+            values = _BLOCKS[name] = _table_block(block)
+            if len(_BLOCKS) > _CACHE_BLOCKS:
+                del _BLOCKS[next(iter(_BLOCKS))]
+        found.update(values)
+    return [found[key] for key in keys]
 
 
 def _cache_clear():
-    _PAIRS.clear()
+    _BLOCKS.clear()
 
 
-def _table_rule(d1, d2):
-    # a Kde quantile kinks at every interior cdf knot, so the grid is cut there
+def _table_block(block):
+    """The table rule on one block, ``{key: (d1, d2)}``: each latent's
+    quantile is tabulated once per panel count, on one graded grid cut at
+    every latent's breakpoints and at any Kde's cdf knots, since a Kde
+    quantile kinks at each, and each pair is the dot product of its two
+    latents' tables. The tables are dropped once the block is done.
+
+    Another latent's cut can land close to a breakpoint where a quantile is
+    singular, as ``InvertedTriangular``'s is at 1/2, and spoil the check
+    that the pair passes on its own grid. A pair whose check fails on a
+    shared grid is run again as a block of its own, which raises
+    ``NumericFailure`` if it fails there too."""
+    latents = dict.fromkeys(d for pair in block.values() for d in pair)
+    cuts = _TABLE_CUTS.union(*(d.breakpoints() for d in latents),
+                             *(d._linear_knots[1:-1].tolist() for d in latents if _knotted(d)))
+
     def rule(panels):
-        half, q1, q2 = _quantile_tables(d1, d2, panels, _TABLE_CUTS, at_knots=True)
-        return float(half @ ((q1 * q2) @ gauss_weights()))
+        half, nodes = fixed_grid(panels, cuts)
+        q = {d: d._quantile(nodes.ravel()).reshape(nodes.shape) for d in latents}
+        return {key: float(half @ ((q[d1] * q[d2]) @ gauss_weights()))
+                for key, (d1, d2) in block.items()}
 
-    value = rule(_TABLE_PANELS)
-    error = abs(value - rule(_CHECK_PANELS))
-    if not error <= _CROSS_MOMENT_TOL:
-        raise NumericFailure(
-            f"cross moment of {d1!r} and {d2!r} not resolved: the {_TABLE_PANELS}- "
-            f"and {_CHECK_PANELS}-panel rules differ by {error:.1e}")
-    return value
+    values, check = rule(_TABLE_PANELS), rule(_CHECK_PANELS)
+    for key, (d1, d2) in block.items():
+        error = abs(values[key] - check[key])
+        if error <= _CROSS_MOMENT_TOL:
+            continue
+        if len(block) == 1:
+            raise NumericFailure(
+                f"cross moment of {d1!r} and {d2!r} not resolved: the {_TABLE_PANELS}- "
+                f"and {_CHECK_PANELS}-panel rules differ by {error:.1e}")
+        values[key] = _table_block({key: (d1, d2)})[key]
+    return values

@@ -139,7 +139,7 @@ def _oracle_grid(u1, u2):
     latent's quantiles at its nodes, one row of 32 per panel."""
     from ._families import _quantile_tables
 
-    return _quantile_tables(u1, u2, _ORACLE_PANELS, _ORACLE_CUTS, at_knots=False)
+    return _quantile_tables(u1, u2, _ORACLE_PANELS, _ORACLE_CUTS)
 
 
 def oracle_dist_sq(x1, u1, x2, u2):
@@ -230,12 +230,17 @@ def dist_sq_mahalanobis(y1, y2, form):
     return _clamp(float(dy @ form.h_reduced @ dy))
 
 
+# the most points iso_distance_set draws: 16 MB of output
+_MAX_ISO_POINTS = 2 ** 20
+
+
 def iso_distance_set(x0, delta, radius, n_points=256):
     """Points (c, r) at the given distance from ``x0`` under a symmetric
     shared latent with range weight ``delta``: an ellipse with centre
     (c0, r0), c semi-axis ``radius`` and r semi-axis ``radius / sqrt(delta)``,
-    clipped to non-negative ranges. A point that is not finite raises
-    ``NumericFailure``."""
+    clipped to non-negative ranges. ``n_points`` lies in [4, 2**20], else
+    ``DomainError``, raised before anything is allocated. A point that is
+    not finite raises ``NumericFailure``."""
     # NaN fails the comparison too
     if not 0.0 < delta < math.inf:
         raise DomainError("delta must be a positive finite number")
@@ -243,6 +248,8 @@ def iso_distance_set(x0, delta, radius, n_points=256):
         raise DomainError("radius must be a positive finite number")
     if n_points < 4:
         raise DomainError("n_points must be at least 4")
+    if n_points > _MAX_ISO_POINTS:
+        raise DomainError(f"n_points must be at most {_MAX_ISO_POINTS}, got {n_points}")
     theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     # an overflow is reported once, as a NumericFailure, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):

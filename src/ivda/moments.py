@@ -13,14 +13,15 @@ matrices, the model-7 estimator, the covariance oracle and
 
 Every closed form reads the latent means and second moments through
 ``ivda.latent._latent_moments``; only the covariance also needs the cross
-moments, so only it builds a full ``MomentSummary``. This module also holds
-``cross_moment``, which picks each pair's route from the knots between
-which each latent declares its quantile linear (``_linear_knots``), and
-``quantile_correlation``: only the symbolic covariance and the scalar forms
-of ``ivda.mallows`` read cross moments, so the ``distance`` stage never
-loads them, and the ``covariance`` stage of a chain on ``Kde`` latents,
-whose cross moments are closed, never loads the table rule of
-``ivda._families``."""
+moments, so only it builds a full ``MomentSummary``, which sends all of a
+frame's pairs without a closed form to the table rule in one call. This
+module also holds ``cross_moment``, which picks each pair's route from the
+knots between which each latent declares its quantile linear
+(``_linear_knots``), and ``quantile_correlation``: only the symbolic
+covariance and the scalar forms of ``ivda.mallows`` read cross moments, so
+the ``distance`` stage never loads them, and the ``covariance`` stage of a
+chain on ``Kde`` latents, whose cross moments are closed, never loads the
+table rule of ``ivda._families``."""
 
 from __future__ import annotations
 
@@ -116,20 +117,21 @@ def cross_moment(d1, d2):
     the table rule of ``ivda._families``, a dot product of the two latents'
     quantile tables on a graded grid cut at their breakpoints and at any
     ``Kde``'s cdf knots. The rule raises ``NumericFailure`` when the rule on
-    half as many panels differs by more than 1e-9; its results are cached
-    per pair.
+    half as many panels differs by more than 1e-9. Its results are cached by
+    the latents' content; ``MomentSummary.from_latents`` runs it once on all
+    of a frame's pairs without a ``Kde``.
     """
     closed = _closed_cross_moment(d1, d2)
-    return closed if closed is not None else _table_rule(d1, d2)
+    return closed if closed is not None else _table_rule([(d1, d2)])[0]
 
 
-def _table_rule(d1, d2):
+def _table_rule(pairs):
     # the first pair without a closed form loads ivda._families and binds
     # its cached rule in this function's place, so no later call imports
     global _table_rule
-    from ._families import _cached_cross_moment as _table_rule
+    from ._families import _table_moments as _table_rule
 
-    return _table_rule(d1, d2)
+    return _table_rule(pairs)
 
 
 def quantile_correlation(d1, d2):
@@ -180,13 +182,24 @@ class MomentSummary(Record):
 
     @classmethod
     def from_latents(cls, latents):
+        """The summary of ``latents``, one per dimension. The pairs without a
+        closed cross moment go to the table rule together, so that each
+        latent is tabulated once per panel count for the frame."""
         latents = tuple(latents)
         if any(lat is None for lat in latents):
             raise DomainError("every dimension needs a latent distribution")
         psi, delta = _latent_moments(latents)
         euu = np.diag(4.0 * delta)
+        rest = {}
         for i, j in itertools.combinations(range(len(latents)), 2):
-            euu[i, j] = euu[j, i] = cross_moment(latents[i], latents[j])
+            value = _closed_cross_moment(latents[i], latents[j])
+            if value is None:
+                rest[i, j] = latents[i], latents[j]
+            else:
+                euu[i, j] = euu[j, i] = value
+        if rest:
+            for (i, j), value in zip(rest, _table_rule(list(rest.values()))):
+                euu[i, j] = euu[j, i] = value
         return cls(psi=psi, delta=delta, euu=euu)
 
 

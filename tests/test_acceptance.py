@@ -44,7 +44,7 @@ from ivda import (
     symbolic_covariance,
     test_mode_symmetry,
 )
-from ivda._families import _cached_cross_moment
+from ivda._families import _table_moments
 from ivda.datasets import credit_card_intervals, external_path
 from ivda.estimation import _binom_two_sided_p
 from ivda.moments import _closed_cross_moment
@@ -76,7 +76,7 @@ def test_criterion_1_cross_moment_exactness():
     start = time.perf_counter()
     closed = _closed_cross_moment(Uniform(), Triangular(0.0))
     assert abs(closed - 7.0 / 30.0) < 1e-9
-    quad = _cached_cross_moment(Uniform(), Triangular(0.0))
+    quad = _table_moments([(Uniform(), Triangular(0.0))])[0]
     assert abs(quad - 7.0 / 30.0) < 1e-7
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -179,6 +179,21 @@ def test_compare_cli(tmp_path, capsys, intervals_csv):
     assert json.loads(stdout)["frobenius"] > 0.0
 
 
+@pytest.mark.parametrize("header_b", [",b,a", ",c,d"], ids=["swapped", "renamed"])
+def test_compare_refuses_tables_whose_column_names_differ(tmp_path, capsys, header_b):
+    # compare matches cells by position, so it needs the same names in the same order
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(",a,b\na,1,2\nb,2,5\n", encoding="utf-8")
+    b.write_text(f"{header_b}\na,1,2\nb,2,5\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "compare", "--a", str(a), "--b", str(b))
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr)["error"] == {
+        "type": "validation",
+        "message": f"--a and --b name different columns: ['a', 'b'] and {header_b.split(',')[1:]}"}
+    code, stdout, _ = run_cli(capsys, "compare", "--a", str(a), "--b", str(a))
+    assert (code, json.loads(stdout)) == (0, {"frobenius": 0.0})
+
+
 def test_pairs_data_cli(tmp_path, capsys, intervals_csv):
     out = tmp_path / "pairs.csv"
     code, _, _ = run_cli(capsys, "pairs-data", "--intervals", intervals_csv,
@@ -338,12 +353,15 @@ def test_malformed_latent_spec_exits_2(tmp_path, capsys, intervals_csv, latents,
     (["ellipse", "--x0=1,2", "--delta", "inf"], None, "delta must be a positive finite"),
     (["ellipse", "--x0=1,2", "--radius", "nan"], None, "radius must be a positive finite"),
     (["ellipse", "--x0=1,2", "--radius", "inf"], None, "radius must be a positive finite"),
+    (["ellipse", "--x0=1,2", "--n-points", "1000000000000000"], None,
+     "n_points must be at most 1048576"),
     (["compare"], ",a,b\nx,1,2\ny,3,oops\n", ":3: a matrix cell is not a number"),
     (["compare"], ",a,b\nx,1,2\ny,3\n", ":3: row has 2 fields"),
     (["compare"], ",a,b\nx,1,nan\ny,3,4\n", ":2: a matrix cell is not finite"),
     (["compare"], ",a,b\nx,1,2\ny,-inf,4\n", ":3: a matrix cell is not finite"),
 ], ids=["x0-one-value", "x0-not-numeric", "delta-nan", "delta-inf", "radius-nan", "radius-inf",
-        "matrix-cell-not-numeric", "matrix-row-ragged", "matrix-cell-nan", "matrix-cell-inf"])
+        "n-points-huge", "matrix-cell-not-numeric", "matrix-row-ragged", "matrix-cell-nan",
+        "matrix-cell-inf"])
 def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix, message):
     if matrix is None:
         # a --delta in the case's argv comes later, and wins

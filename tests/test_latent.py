@@ -31,12 +31,18 @@ from ivda import (
     silverman_bandwidth,
 )
 from ivda.errors import DataValidationError, DomainError, NumericFailure
-from ivda._families import _PAIRS, _cache_clear, _cached_cross_moment
+from ivda._families import _BLOCKS, _cache_clear, _table_moments
 from ivda.moments import _closed_cross_moment, _merged_knots
 from ivda.latent import _linear_quantile
 
 from conftest import ALL_FAMILIES, fixed_rule, make_latent, trapezoid
 from tanh_sinh import comonotone_moment, tanh_sinh
+
+
+def _table_rule(d1, d2):
+    # the table rule on one pair, also where the pair has a closed form
+    return _table_moments([(d1, d2)])[0]
+
 
 PARAMETRIC = [
     Uniform(),
@@ -198,7 +204,7 @@ def test_kde_cross_moments_are_closed_and_exact(rng):
     for d1, d2 in [(k1, k2), (k2, k3), (k1, k3), (k1, Uniform()), (Uniform(), k3)]:
         closed = _closed_cross_moment(d1, d2)
         assert cross_moment(d1, d2) == closed
-        assert closed == pytest.approx(_cached_cross_moment(d1, d2), abs=1e-9)
+        assert closed == pytest.approx(_table_rule(d1, d2), abs=1e-9)
         knots = np.union1d(*(getattr(d, "_cdf", ()) for d in (d1, d2)))
         segments = fixed_rule(lambda t: d1._quantile(t) * d2._quantile(t),
                               panels=1, breakpoints=knots)
@@ -394,7 +400,7 @@ def test_shifted_beta_shapes_need_a_finite_sum():
 def test_cross_moment_uniform_triangular_is_7_over_30():
     value = cross_moment(Uniform(), Triangular(0.0))
     assert value == pytest.approx(7.0 / 30.0, abs=1e-12)
-    quad = _cached_cross_moment(Uniform(), Triangular(0.0))
+    quad = _table_rule(Uniform(), Triangular(0.0))
     assert quad == pytest.approx(7.0 / 30.0, abs=1e-9)
 
 
@@ -431,7 +437,7 @@ def test_cross_moment_cauchy_schwarz(rng):
 def test_cross_moment_closed_form_matches_quadrature_for_any_mode():
     for m in np.linspace(-0.9, 0.9, 7):
         closed = _closed_cross_moment(Uniform(), Triangular(float(m)))
-        quad = _cached_cross_moment(Uniform(), Triangular(float(m)))
+        quad = _table_rule(Uniform(), Triangular(float(m)))
         assert closed == pytest.approx((7.0 + m * m) / 30.0, abs=1e-15)
         assert quad == pytest.approx(closed, abs=1e-8)
 
@@ -528,17 +534,15 @@ def test_no_library_cache_keeps_a_kde_alive(rng):
 
 
 def test_the_pair_cache_drops_its_oldest_pair_first(monkeypatch):
-    monkeypatch.setattr("ivda._families._CACHE_PAIRS", 3)
+    # a pair alone is a block of one, keyed by the set of its one pair
+    monkeypatch.setattr("ivda._families._CACHE_BLOCKS", 3)
     _cache_clear()
     pairs = [(Triangular(m), ShiftedBeta(2.0, 3.0)) for m in (-0.6, -0.2, 0.2, 0.6)]
     values = [cross_moment(*pair) for pair in pairs]
-    assert len(_PAIRS) == 3
-    assert {frozenset(key) for key in _PAIRS} == {frozenset(pair) for pair in pairs[1:]}
+    assert set(_BLOCKS) == {frozenset([frozenset(pair)]) for pair in pairs[1:]}
     # the evicted pair comes back to the same bits, and the next oldest goes
     assert cross_moment(*pairs[0]).hex() == values[0].hex()
-    assert len(_PAIRS) == 3
-    assert {frozenset(key) for key in _PAIRS} == \
-        {frozenset(pair) for pair in pairs[2:] + pairs[:1]}
+    assert set(_BLOCKS) == {frozenset([frozenset(pair)]) for pair in pairs[2:] + pairs[:1]}
     _cache_clear()
 
 
@@ -551,7 +555,7 @@ def test_cross_moment_has_one_route():
     assert str(inspect.signature(cross_moment)) == "(d1, d2)"
     pair = TruncatedNormal(), InvertedTriangular()
     assert _closed_cross_moment(*pair) is None
-    assert cross_moment(*pair) == _cached_cross_moment(*pair)
+    assert cross_moment(*pair) == _table_rule(*pair)
 
 
 def test_cached_cross_moment_runs_no_import(monkeypatch):

@@ -417,6 +417,9 @@ _REFUSALS = {
         "box dimension does not match the quadratic form"),
     "iso-too-few-points": (lambda: iso_distance_set(Interval(0, 1), 0.1, 1.0, n_points=3),
                            "n_points must be at least 4"),
+    "iso-too-many-points": (
+        lambda: iso_distance_set(Interval(0, 1), 0.1, 1.0, n_points=2 ** 20 + 1),
+        "n_points must be at most 1048576, got 1048577"),
 }
 
 

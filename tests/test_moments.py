@@ -32,11 +32,12 @@ from ivda import (
     sample_barycentre,
     symbolic_covariance,
 )
-from ivda._families import _cache_clear, _cached_cross_moment
+from ivda._families import _cache_clear
 from ivda.errors import DataValidationError, DomainError, NumericFailure
 from ivda.moments import MomentSummary, _closed_cross_moment
 
 from conftest import ALL_FAMILIES, make_frame, make_latent, make_mixed_frame
+from tanh_sinh import comonotone_moment
 
 
 def two_row_uniform_frame():
@@ -311,7 +312,7 @@ def test_oracles_never_touch_the_closed_forms(rng, monkeypatch):
                    "ivda._barycentre._latent_moments", "ivda._engine._dist_sq_columns",
                    "ivda._barycentre._dist_sq_columns",
                    "ivda.moments.MomentSummary.from_latents",
-                   "ivda._families._cached_cross_moment", "ivda.moments._table_rule"):
+                   "ivda._families._table_moments", "ivda.moments._table_rule"):
         monkeypatch.setattr(target, closed_form)
     for i in range(frame.p):
         for j in range(i, frame.p):
@@ -336,6 +337,103 @@ def test_no_library_path_reaches_the_adaptive_integrator(rng, monkeypatch):
         d1, d2 = make_latent(rng, f1), make_latent(rng, f2)
         if _closed_cross_moment(d1, d2) is None:
             assert math.isfinite(cross_moment(d1, d2))
+
+
+# --- the table route of a frame's E_UU ----------------------------------------
+
+# the latents of the benchmark's lib-parametric workload: four betas, a
+# triangular mode and a truncated normal, all on the table route
+PARAMETRIC_LATENTS = (ShiftedBeta(2.0, 2.6), ShiftedBeta(2.4, 3.4), ShiftedBeta(2.7, 2.9),
+                      ShiftedBeta(3.0, 3.2), Triangular(-0.15), TruncatedNormal(0.25))
+TABLE_FAMILIES = ("uniform", "triangular", "inverted_triangular", "truncated_normal",
+                  "shifted_beta")
+# how far an E_UU entry may sit from cross_moment, and from the tanh-sinh
+# reference, where the frame's union grid has cuts that the pair's own grid
+# lacks: the rule's tolerance. A cut next to InvertedTriangular's singular
+# breakpoint at 1/2 spoils a cancellation that its own grid keeps, and gave
+# 3.8e-10; the other drawn frames moved their entries by at most 1.2e-14
+UNION_GRID_GAP = 1e-9
+
+
+def test_a_frame_tabulates_each_latent_once_per_panel_count(monkeypatch):
+    import ivda.special
+    from ivda._families import _quantile_table
+
+    shapes, real = [], ivda.special.betainc_inv
+    monkeypatch.setattr(ivda.special, "betainc_inv",
+                        lambda a, b, t: shapes.append((a, b)) or real(a, b, t))
+    seen = {}
+    for cls in {type(d) for d in PARAMETRIC_LATENTS}:
+        def counted(self, t, real=cls._quantile):
+            seen[self] = seen.get(self, 0) + 1
+            return real(self, t)
+        monkeypatch.setattr(cls, "_quantile", counted)
+    _cache_clear()
+    cached = _quantile_table.cache_info()
+    MomentSummary.from_latents(PARAMETRIC_LATENTS)
+    # once at 192 panels and once at 96, however many pairs a latent joins
+    assert seen == {d: 2 for d in PARAMETRIC_LATENTS}
+    assert len(shapes) == 8
+    assert set(shapes) == {(d.alpha, d.beta) for d in PARAMETRIC_LATENTS[:4]}
+    # the rule keeps no table: the oracles' table cache is not touched
+    assert _quantile_table.cache_info() == cached
+    seen.clear()
+    MomentSummary.from_latents(PARAMETRIC_LATENTS[::-1])
+    assert seen == {}
+    _cache_clear()
+
+
+def test_a_frame_does_not_move_cross_moment_bits():
+    pairs = list(itertools.combinations(PARAMETRIC_LATENTS, 2))
+    _cache_clear()
+    alone = [cross_moment(*pair).hex() for pair in pairs]
+    _cache_clear()
+    euu = MomentSummary.from_latents(PARAMETRIC_LATENTS).euu
+    assert [cross_moment(*pair).hex() for pair in pairs] == alone
+    assert [cross_moment(d2, d1).hex() for d1, d2 in pairs] == alone
+    # nor does the order of the calls move the frame's entries
+    assert MomentSummary.from_latents(PARAMETRIC_LATENTS).euu.tobytes() == euu.tobytes()
+    _cache_clear()
+
+
+def test_frame_entries_equal_cross_moment_where_the_grids_agree(rng):
+    # betas and truncated normals have no breakpoints, so the union grid is
+    # each pair's grid; a Kde pair keeps its own grid, cut at the Kde's knots,
+    # and the triangular-beta pair alone forms the block
+    frames = [tuple(make_latent(rng, family) for family in
+                    ("shifted_beta", "truncated_normal", "shifted_beta", "truncated_normal")),
+              (make_latent(rng, "kde"), Triangular(0.4), ShiftedBeta(2.0, 3.0))]
+    for latents in frames:
+        euu = MomentSummary.from_latents(latents).euu
+        for i, j in itertools.combinations(range(len(latents)), 2):
+            assert euu[i, j].hex() == euu[j, i].hex() == cross_moment(latents[i], latents[j]).hex()
+
+
+def test_frame_entries_stay_near_cross_moment_on_drawn_frames(rng):
+    # the first frame cuts at 0.50129, next to InvertedTriangular's 1/2
+    frames = [(InvertedTriangular(), ShiftedBeta(2.7397585919147813, 1.703685039860336),
+               Triangular(0.002587423542439349)), PARAMETRIC_LATENTS]
+    frames += [[make_latent(rng, families=TABLE_FAMILIES) for _ in range(4)] for _ in range(8)]
+    for latents in frames:
+        euu = MomentSummary.from_latents(latents).euu
+        for i, j in itertools.combinations(range(len(latents)), 2):
+            alone = cross_moment(latents[i], latents[j])
+            assert abs(euu[i, j] - alone) <= UNION_GRID_GAP
+            if _closed_cross_moment(latents[i], latents[j]) is None:
+                reference = comonotone_moment(latents[i], latents[j])
+                assert abs(euu[i, j] - reference) <= UNION_GRID_GAP
+
+
+def test_a_pair_that_fails_its_check_on_the_shared_grid_runs_on_its_own():
+    # the triangular's split at 0.49854 leaves a narrow panel next to the
+    # inverted triangular's 1/2, where the 96-panel rule misses by 2.4e-9;
+    # on its own grid the pair passes, and keeps cross_moment's bits
+    latents = (Triangular(-0.0029267930163952016), Uniform(), InvertedTriangular(),
+               ShiftedBeta(0.5860261808298256, 3.3793425898931573))
+    _cache_clear()
+    euu = MomentSummary.from_latents(latents).euu
+    assert euu[2, 3].hex() == cross_moment(latents[2], latents[3]).hex()
+    _cache_clear()
 
 
 # --- correlation -----------------------------------------------------------------
