@@ -7,12 +7,13 @@ quadrature for every cross moment without a closed form, a route that
 ``ivda.moments`` decides, and ``_quantile_tables``, the quantile tables
 that both oracles read. The rule takes all of a frame's pairs without a
 ``Kde`` at once: it tabulates each of their latents once per panel count,
-on one grid cut at all their breakpoints, and keeps no table after the
-cross moments it feeds; its results are cached by content. ``ivda.latent``
-re-exports the four families and loads this module on first use, so a
-chain that runs on ``Kde`` latents, whose cross moments are closed, never
-compiles it. Only the truncated-normal and beta families need the special
-functions, and they import them when they use them."""
+on one grid graded toward 0, 1 and all their breakpoints, and keeps no
+table after the cross moments it feeds; its results are cached by
+content. ``ivda.latent`` re-exports the four families and loads this
+module on first use, so a chain that runs on ``Kde`` latents, whose cross
+moments are closed, never compiles it. Only the truncated-normal and beta
+families need the special functions, and they import them when they use
+them."""
 
 from __future__ import annotations
 
@@ -192,11 +193,11 @@ class ShiftedBeta(LatentDistribution, Frozen):
 _CROSS_MOMENT_TOL = 1e-9
 
 # the cross-moment grid: equal panels, a coarser copy for the error check,
-# and a grading towards both ends, where quantiles are often singular
+# and a grading towards both ends and every breakpoint, where quantiles are
+# often singular
 _TABLE_PANELS = 192
 _CHECK_PANELS = 96
 _TABLE_GRADING = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 3e-2)
-_TABLE_CUTS = frozenset(_TABLE_GRADING) | {1.0 - g for g in _TABLE_GRADING}
 
 
 @functools.lru_cache(maxsize=256)
@@ -288,19 +289,21 @@ def _cache_clear():
 
 def _table_block(block):
     """The table rule on one block, ``{key: (d1, d2)}``: each latent's
-    quantile is tabulated once per panel count, on one graded grid cut at
-    every latent's breakpoints and at any Kde's cdf knots, since a Kde
-    quantile kinks at each, and each pair is the dot product of its two
-    latents' tables. The tables are dropped once the block is done.
+    quantile is tabulated once per panel count, on one grid, and each pair
+    is the dot product of its two latents' tables, which are dropped once
+    the block is done.
 
-    Another latent's cut can land close to a breakpoint where a quantile is
-    singular, as ``InvertedTriangular``'s is at 1/2, and spoil the check
-    that the pair passes on its own grid. A pair whose check fails on a
-    shared grid is run again as a block of its own, which raises
-    ``NumericFailure`` if it fails there too."""
+    The grid is cut at 0, 1 and every latent's breakpoint, and at the
+    ``_TABLE_GRADING`` offsets on each side of each of them, since a
+    quantile is often singular there, as ``InvertedTriangular``'s is at
+    1/2; and at any Kde's cdf knots, since a Kde quantile kinks at each.
+    A pair whose two panel counts differ by more than the tolerance raises
+    ``NumericFailure``."""
     latents = dict.fromkeys(d for pair in block.values() for d in pair)
-    cuts = _TABLE_CUTS.union(*(d.breakpoints() for d in latents),
-                             *(d._linear_knots[1:-1].tolist() for d in latents if _knotted(d)))
+    # fixed_grid keeps the cuts inside (0, 1)
+    cuts = {c for p in {0.0, 1.0}.union(*(d.breakpoints() for d in latents))
+            for g in (0.0, *_TABLE_GRADING) for c in (p - g, p + g)}
+    cuts.update(*(d._linear_knots[1:-1].tolist() for d in latents if _knotted(d)))
 
     def rule(panels):
         half, nodes = fixed_grid(panels, cuts)
@@ -311,11 +314,8 @@ def _table_block(block):
     values, check = rule(_TABLE_PANELS), rule(_CHECK_PANELS)
     for key, (d1, d2) in block.items():
         error = abs(values[key] - check[key])
-        if error <= _CROSS_MOMENT_TOL:
-            continue
-        if len(block) == 1:
+        if error > _CROSS_MOMENT_TOL:
             raise NumericFailure(
                 f"cross moment of {d1!r} and {d2!r} not resolved: the {_TABLE_PANELS}- "
                 f"and {_CHECK_PANELS}-panel rules differ by {error:.1e}")
-        values[key] = _table_block({key: (d1, d2)})[key]
     return values

@@ -40,7 +40,9 @@ def read_summary_csv(path):
     """Read summary statistics rows: group,variable,mean,median,min,max.
 
     Returns {variable: list of (group, mean, median, Interval)} preserving
-    row order within each variable.
+    row order within each variable. A cell that is not a number, a mean or
+    median that is not finite, or a bad interval raises
+    ``DataValidationError`` naming ``path:line``.
     """
     from ._box import Interval
 
@@ -57,8 +59,10 @@ def read_summary_csv(path):
     for line, cells in rows:
         try:
             iv = Interval(float(cells[least]), float(cells[most]))
-            out.setdefault(cells[variable], []).append(
-                (cells[group], float(cells[mean]), float(cells[median]), iv))
+            centre = float(cells[mean]), float(cells[median])
+            if not np.all(np.isfinite(centre)):
+                raise DomainError(f"mean and median must be finite, got {centre}")
+            out.setdefault(cells[variable], []).append((cells[group], *centre, iv))
         except (ValueError, DomainError) as exc:
             raise DataValidationError(f"{path}:{line}: {exc}") from exc
     return out
@@ -103,13 +107,18 @@ class ModeEstimates(Record):
 
 
 def estimate_modes_pearson(means, medians):
-    """Rowwise empirical rule of thumb, mode = 3 * median - 2 * mean."""
+    """Rowwise empirical rule of thumb, mode = 3 * median - 2 * mean.
+
+    A mean or median that is not finite raises ``DomainError``.
+    """
     means = np.asarray(means, dtype=float).ravel()
     medians = np.asarray(medians, dtype=float).ravel()
     if means.size != medians.size:
         raise DomainError("means and medians must have equal length")
     if means.size == 0:
         raise DomainError("empty input")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(medians))):
+        raise DomainError("means and medians must be finite")
     modes = 3.0 * medians - 2.0 * means
     return ModeEstimates(modes=modes, m_hat=float(modes.mean()))
 
@@ -129,13 +138,16 @@ def _binom_two_sided_p(k, n):
 def test_mode_symmetry(modes, alpha=0.05, n_tests=1):
     """Exact binomial test that the proportion of positive modes is 1/2.
 
-    Modes equal to exactly zero carry no sign information and are excluded.
+    Modes equal to exactly zero carry no sign information and are excluded;
+    a mode that is not finite raises ``DomainError``.
     Returns (reject, p_value) with the cutoff Bonferroni-corrected by
     ``n_tests``; non-rejection is the caller's licence to set the mode to 0.
     """
     modes = np.asarray(modes, dtype=float).ravel()
     if modes.size == 0:
         raise DomainError("empty mode list")
+    if not np.all(np.isfinite(modes)):
+        raise DomainError("modes must be finite")
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     if n_tests < 1:

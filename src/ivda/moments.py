@@ -60,13 +60,17 @@ def jacobi_eigenvalues(a):
     Coordinates whose row and column are exactly zero are split off before
     ``np.linalg.eigvalsh`` sees the rest, so structural zero eigenvalues
     (one per degenerate dimension of a Mahalanobis form) come out exactly
-    zero.
+    zero. A matrix that is not square, not symmetric or not finite raises
+    ``DomainError``.
     """
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("eigensolve requires a square matrix")
-    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * scale:
+    scale = float(np.max(np.abs(m), initial=0.0))
+    # checked before m - m.T, where inf - inf warns; a nan fails it too
+    if not scale < math.inf:
+        raise DomainError("eigensolve requires a finite matrix")
+    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-10 * max(1.0, scale):
         raise DomainError("eigensolve requires a symmetric matrix")
     live = np.any(m != 0.0, axis=0) | np.any(m != 0.0, axis=1)
     eigs = np.linalg.eigvalsh(m[np.ix_(live, live)]) if np.any(live) else np.empty(0)

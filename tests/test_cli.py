@@ -346,7 +346,12 @@ def test_malformed_latent_spec_exits_2(tmp_path, capsys, intervals_csv, latents,
     assert message in error["message"]
 
 
-@pytest.mark.parametrize("argv, matrix, message", [
+_PEARSON = ["fit", "--method", "triangular-pearson"]
+# a summary table's header and a first row that is valid
+_SUMMARY_HEAD = "group,variable,mean,median,min,max\ng1,x,0.1,0.2,-1,1\n"
+
+
+@pytest.mark.parametrize("argv, table, message", [
     (["ellipse", "--x0", "1"], None, "--x0"),
     (["ellipse", "--x0=a,b"], None, "--x0"),
     (["ellipse", "--x0=1,2", "--delta", "nan"], None, "delta must be a positive finite"),
@@ -359,23 +364,27 @@ def test_malformed_latent_spec_exits_2(tmp_path, capsys, intervals_csv, latents,
     (["compare"], ",a,b\nx,1,2\ny,3\n", ":3: row has 2 fields"),
     (["compare"], ",a,b\nx,1,nan\ny,3,4\n", ":2: a matrix cell is not finite"),
     (["compare"], ",a,b\nx,1,2\ny,-inf,4\n", ":3: a matrix cell is not finite"),
+    (_PEARSON, _SUMMARY_HEAD + "g2,x,0.0,nan,-1,1\n", ":3: mean and median must be finite"),
+    (_PEARSON, _SUMMARY_HEAD + "g2,x,inf,0.1,-1,1\n", ":3: mean and median must be finite"),
 ], ids=["x0-one-value", "x0-not-numeric", "delta-nan", "delta-inf", "radius-nan", "radius-inf",
         "n-points-huge", "matrix-cell-not-numeric", "matrix-row-ragged", "matrix-cell-nan",
-        "matrix-cell-inf"])
-def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, matrix, message):
-    if matrix is None:
+        "matrix-cell-inf", "summary-median-nan", "summary-mean-inf"])
+def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, table, message):
+    out = tmp_path / "out.csv"
+    if table is None:
         # a --delta in the case's argv comes later, and wins
-        argv = [argv[0], "--delta", "0.1", *argv[1:], "--out", str(tmp_path / "ellipse.csv")]
+        argv = [argv[0], "--delta", "0.1", *argv[1:], "--out", str(out)]
     else:
-        path = tmp_path / "matrix.csv"
-        path.write_text(matrix, encoding="utf-8")
-        argv = argv + ["--a", str(path), "--b", str(path)]
+        path = tmp_path / "table.csv"
+        path.write_text(table, encoding="utf-8")
+        argv = argv + (["--a", str(path), "--b", str(path)] if argv[0] == "compare"
+                       else ["--summaries", str(path), "--out", str(out)])
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     error = json.loads(stderr)["error"]
     assert error["type"] == "validation"
     assert message in error["message"]
-    assert not (tmp_path / "ellipse.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, value", [

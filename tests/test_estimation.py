@@ -280,6 +280,18 @@ _REFUSALS = {
         lambda: fit_triangular_pearson([0.1, 0.2], [0.1, 0.2], [Interval(0.0, 1.0)]),
         "one interval is required per summary row"),
     "modes-empty-input": (lambda: estimate_modes_pearson([], []), "empty input"),
+    "modes-nan-median": (lambda: estimate_modes_pearson([0.1, 0.2], [0.1, np.nan]),
+                         "means and medians must be finite"),
+    "modes-inf-mean": (lambda: estimate_modes_pearson([np.inf], [0.1]),
+                       "means and medians must be finite"),
+    "pearson-inf-mean": (
+        lambda: fit_triangular_pearson([0.1, np.inf], [0.1, 0.2],
+                                       [Interval(0.0, 1.0), Interval(0.0, 1.0)]),
+        "means and medians must be finite"),
+    "symmetry-nan-mode": (lambda: test_mode_symmetry(np.array([0.1, np.nan])),
+                          "modes must be finite"),
+    "symmetry-inf-mode": (lambda: test_mode_symmetry(np.array([-np.inf, 0.1])),
+                          "modes must be finite"),
 }
 
 

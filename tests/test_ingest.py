@@ -525,6 +525,14 @@ _REFUSALS = {
         lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min,max\n"
                                              "g,x,0,0,1,-1\n")),
         DataValidationError, r"table\.csv:2: interval bounds out of order"),
+    "summary-nan-median": (
+        lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min,max\n"
+                                             "g,x,0,0,-1,1\nh,x,0,nan,-1,1\n")),
+        DataValidationError, r"table\.csv:3: mean and median must be finite"),
+    "summary-inf-mean": (
+        lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min,max\n"
+                                             "g,x,-inf,0,-1,1\n")),
+        DataValidationError, r"table\.csv:2: mean and median must be finite"),
     "sample-provenance-length": (
         lambda d: ScaledSample("x", [0.1, 0.2], rows=("r1",)),
         DomainError, "provenance length must match the number of values"),

@@ -53,6 +53,11 @@ def test_jacobi_on_known_matrices():
     assert np.allclose(jacobi_eigenvalues(m), [1.0, 3.0], atol=1e-12)
     with pytest.raises(DomainError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a non-finite entry is refused, with no numpy warning (an error here) on the way
+    for bad in (np.nan, np.inf, -np.inf):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(DomainError, match="requires a finite matrix"):
+                jacobi_eigenvalues(np.array(m))
 
 
 def test_jacobi_matches_characteristic_roots(rng):
@@ -348,11 +353,11 @@ PARAMETRIC_LATENTS = (ShiftedBeta(2.0, 2.6), ShiftedBeta(2.4, 3.4), ShiftedBeta(
 TABLE_FAMILIES = ("uniform", "triangular", "inverted_triangular", "truncated_normal",
                   "shifted_beta")
 # how far an E_UU entry may sit from cross_moment, and from the tanh-sinh
-# reference, where the frame's union grid has cuts that the pair's own grid
-# lacks: the rule's tolerance. A cut next to InvertedTriangular's singular
-# breakpoint at 1/2 spoils a cancellation that its own grid keeps, and gave
-# 3.8e-10; the other drawn frames moved their entries by at most 1.2e-14
-UNION_GRID_GAP = 1e-9
+# reference, where the frame's grid has cuts that the pair's own grid lacks.
+# The grid is graded toward every latent's breakpoint, so the panels beside a
+# singular breakpoint, such as InvertedTriangular's 1/2, are the grading's
+# own, whatever other latents cut nearby; drawn frames sit within 3e-14
+UNION_GRID_GAP = 1e-12
 
 
 def test_a_frame_tabulates_each_latent_once_per_panel_count(monkeypatch):
@@ -409,10 +414,20 @@ def test_frame_entries_equal_cross_moment_where_the_grids_agree(rng):
             assert euu[i, j].hex() == euu[j, i].hex() == cross_moment(latents[i], latents[j]).hex()
 
 
+# two frames whose triangular splits close to the inverted triangular's
+# singular 1/2: at 0.50129, where a grid graded toward 0 and 1 alone put an
+# entry 3.8e-10 from the reference, and at 0.49854, where its 96-panel check
+# missed by 2.4e-9
+NEAR_HALF_FRAMES = (
+    (InvertedTriangular(), ShiftedBeta(2.7397585919147813, 1.703685039860336),
+     Triangular(0.002587423542439349)),
+    (Triangular(-0.0029267930163952016), Uniform(), InvertedTriangular(),
+     ShiftedBeta(0.5860261808298256, 3.3793425898931573)),
+)
+
+
 def test_frame_entries_stay_near_cross_moment_on_drawn_frames(rng):
-    # the first frame cuts at 0.50129, next to InvertedTriangular's 1/2
-    frames = [(InvertedTriangular(), ShiftedBeta(2.7397585919147813, 1.703685039860336),
-               Triangular(0.002587423542439349)), PARAMETRIC_LATENTS]
+    frames = [*NEAR_HALF_FRAMES, PARAMETRIC_LATENTS]
     frames += [[make_latent(rng, families=TABLE_FAMILIES) for _ in range(4)] for _ in range(8)]
     for latents in frames:
         euu = MomentSummary.from_latents(latents).euu
@@ -422,17 +437,34 @@ def test_frame_entries_stay_near_cross_moment_on_drawn_frames(rng):
             if _closed_cross_moment(latents[i], latents[j]) is None:
                 reference = comonotone_moment(latents[i], latents[j])
                 assert abs(euu[i, j] - reference) <= UNION_GRID_GAP
+    # more frames of five, against cross_moment alone: none may raise, and
+    # none of their blocks may fail its check
+    for _ in range(100):
+        latents = [make_latent(rng, families=TABLE_FAMILIES) for _ in range(5)]
+        euu = MomentSummary.from_latents(latents).euu
+        for i, j in itertools.combinations(range(5), 2):
+            assert abs(euu[i, j] - cross_moment(latents[i], latents[j])) <= UNION_GRID_GAP
 
 
-def test_a_pair_that_fails_its_check_on_the_shared_grid_runs_on_its_own():
-    # the triangular's split at 0.49854 leaves a narrow panel next to the
-    # inverted triangular's 1/2, where the 96-panel rule misses by 2.4e-9;
-    # on its own grid the pair passes, and keeps cross_moment's bits
-    latents = (Triangular(-0.0029267930163952016), Uniform(), InvertedTriangular(),
-               ShiftedBeta(0.5860261808298256, 3.3793425898931573))
-    _cache_clear()
-    euu = MomentSummary.from_latents(latents).euu
-    assert euu[2, 3].hex() == cross_moment(latents[2], latents[3]).hex()
+def test_each_block_runs_once_on_its_graded_grid(monkeypatch):
+    # the table rule runs once on a block, with no second grid for a pair
+    # whose check fails: grading toward the inverted triangular's 1/2 keeps
+    # its cancellation, and each entry is within 1e-12 of the reference
+    import ivda._families
+
+    calls, real = [], ivda._families._table_block
+    monkeypatch.setattr(ivda._families, "_table_block",
+                        lambda block: calls.append(block) or real(block))
+    for latents in NEAR_HALF_FRAMES:
+        _cache_clear()
+        calls.clear()
+        euu = MomentSummary.from_latents(latents).euu
+        assert len(calls) == 1
+        table = [(i, j) for i, j in itertools.combinations(range(len(latents)), 2)
+                 if _closed_cross_moment(latents[i], latents[j]) is None]
+        assert set(calls[0]) == {frozenset((latents[i], latents[j])) for i, j in table}
+        for i, j in table:
+            assert abs(euu[i, j] - comonotone_moment(latents[i], latents[j])) <= 1e-12
     _cache_clear()
 
 
