@@ -60,7 +60,6 @@ def commands():
         ]
     kde = ["--intervals", "iv.csv", "--latents", "kde.json"]
     out += [
-        ["distance", *kde, "--threads", "2", "--out", "dist_kde_threads2.csv"],
         ["covariance", *kde, "--estimator", "model7", "--ddof1", "--out", "cov_model7.csv"],
         ["correlation", *kde, "--estimator", "model7", "--out", "corr_model7.csv"],
         ["barycentre", *kde, "--out", "bary_kde.csv"],

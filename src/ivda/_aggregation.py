@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
-from ._tables import _check_scaled, _read_table, _refuse_repeated
+from ._tables import _read_table, _refuse_repeated
 from .errors import DataValidationError, DomainError
 
 _KEY_RULE = "record key must be a non-empty tuple of non-empty strings"
@@ -26,26 +26,35 @@ _KEY_RULE = "record key must be a non-empty tuple of non-empty strings"
 def _scale(values, lower, upper):
     """The floats u = 2 (v - c) / r, clamped to [-1, 1], of the floats
     ``values`` inside [lower, upper]: ``scale_to_latent`` on plain floats.
-    Each step is one IEEE operation, as in numpy, so both give the same
-    bits."""
-    r = upper - lower
-    if r == 0.0:
+    Values may lie outside by 1e-9 * max(1, r), taken as twice the
+    half-width so that it stays finite where r overflows."""
+    if upper == lower:
         raise DomainError("cannot scale values inside a zero-range interval")
-    tol = 1e-9 * max(1.0, r)
+    tol = 2e-9 * max(0.5, 0.5 * upper - 0.5 * lower)
     least, most = lower - tol, upper + tol
     bad = [k for k, v in enumerate(values) if v < least or v > most]
     if bad:
         shown = ", ".join(f"[{k}]={values[k]!r}" for k in bad[:5])
         raise DataValidationError(
             f"{len(bad)} value(s) outside [{lower}, {upper}]: {shown}")
+    return _unit_scale(values, lower, upper)
+
+
+def _unit_scale(values, lower, upper):
+    """``_scale`` without its check, which the triangular-Pearson fit runs
+    on modes that may lie outside their interval. Each step is one IEEE
+    operation, as in numpy, so both give the same bits."""
     c = 0.5 * (lower + upper)
     if not math.isfinite(c):
         # the bounds' sum overflowed; halving each first keeps every finite
         # case's bits
         c = 0.5 * lower + 0.5 * upper
-    # NaN, from an overflowed range, passes the clamp, as through np.clip
+    k, r = 2.0, upper - lower
+    if not math.isfinite(r):
+        # 2 (v - c) / r would be inf / inf; the half-width keeps it finite
+        k, r = 1.0, 0.5 * upper - 0.5 * lower
     return [-1.0 if u < -1.0 else 1.0 if u > 1.0 else u
-            for u in [2.0 * (v - c) / r for v in values]]
+            for u in [k * (v - c) / r for v in values]]
 
 
 def _label(key):
@@ -117,7 +126,6 @@ def _aggregate(cells, trim, keep_degenerate):
             values += _scale(rest, lo, hi)
             rows += [label] * len(rest)
         if values:
-            _check_scaled(name, values)
             samples[name] = (tuple(rows), values)
     return (tuple(names), tuple(label for label, _ in kept_rows),
             [[row[name][0] for name in names] for _, row in kept_rows],

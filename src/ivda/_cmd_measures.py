@@ -95,9 +95,6 @@ def _write_matrix_csv(matrix, names, path):
 
 def _distance_args(p):
     _frame_args(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: the matrix is computed on one thread "
-                        "(default %(default)s)")
     p.add_argument("--out")
 
 

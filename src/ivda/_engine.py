@@ -84,7 +84,8 @@ def distance_matrix(frame, threads=1):
     their transpose into the mirrored columns. Negating dc and dr leaves
     every term bitwise unchanged, so each mirrored entry is the one the
     scalar ``dist_sq_box`` loop gives. The buffers are allocated once and
-    the blocks run in order. ``threads`` is accepted and has no effect.
+    the blocks run in order. ``threads`` is accepted and has no effect:
+    the benchmark's worker still passes it.
     """
     c, r = frame.checked_centres_ranges()
     psi, delta = _latent_moments(frame.latents)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from array import array
 from pathlib import Path
 
-from ._tables import _check_scaled, _read_table, _refuse_repeated
+from ._tables import _read_table, _refuse_repeated
 from ._value import Record
 from .errors import DataValidationError, DomainError
 
@@ -27,8 +27,10 @@ class ScaledSample(Record):
         import numpy as np
 
         values = np.asarray(values, dtype=float)
-        # the extremes decide, and a NaN propagates into both
-        _check_scaled(variable, (values.min(), values.max()) if values.size else ())
+        # the extremes decide, and a NaN propagates into both and fails
+        # every comparison
+        if values.size and not -1.0 - 1e-9 <= values.min() <= values.max() <= 1.0 + 1e-9:
+            raise DataValidationError(f"scaled values for {variable!r} must lie in [-1, 1]")
         if rows is not None and len(rows) != values.size:
             raise DomainError("provenance length must match the number of values")
         object.__setattr__(self, "variable", variable)

@@ -22,11 +22,6 @@ from pathlib import Path
 
 from .errors import DataValidationError
 
-def _check_scaled(variable, values):
-    # NaN fails both comparisons
-    if not all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in values):
-        raise DataValidationError(f"scaled values for {variable!r} must lie in [-1, 1]")
-
 
 def _read_table(path):
     """Yield the header of a CSV table, then ``(line, cells)`` for each data

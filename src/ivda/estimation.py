@@ -14,6 +14,7 @@ reader that the triangular-Pearson fit takes its rows from,
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,9 @@ def read_summary_csv(path):
 
     Returns {variable: list of (group, mean, median, Interval)} preserving
     row order within each variable. A cell that is not a number, a mean or
-    median that is not finite, or a bad interval raises
-    ``DataValidationError`` naming ``path:line``.
+    median that is not finite or whose mode rule 3 * median - 2 * mean
+    overflows, or a bad interval raises ``DataValidationError`` naming
+    ``path:line``.
     """
     from ._box import Interval
 
@@ -60,8 +62,9 @@ def read_summary_csv(path):
         try:
             iv = Interval(float(cells[least]), float(cells[most]))
             centre = float(cells[mean]), float(cells[median])
-            if not np.all(np.isfinite(centre)):
-                raise DomainError(f"mean and median must be finite, got {centre}")
+            if not math.isfinite(3.0 * centre[1] - 2.0 * centre[0]):
+                raise DomainError("mean and median must be finite, and so must the mode "
+                                  f"3 * median - 2 * mean, got {centre}")
             out.setdefault(cells[variable], []).append((cells[group], *centre, iv))
         except (ValueError, DomainError) as exc:
             raise DataValidationError(f"{path}:{line}: {exc}") from exc
@@ -109,7 +112,8 @@ class ModeEstimates(Record):
 def estimate_modes_pearson(means, medians):
     """Rowwise empirical rule of thumb, mode = 3 * median - 2 * mean.
 
-    A mean or median that is not finite raises ``DomainError``.
+    A mean or median that is not finite, or a mode that overflows, raises
+    ``DomainError``.
     """
     means = np.asarray(means, dtype=float).ravel()
     medians = np.asarray(medians, dtype=float).ravel()
@@ -117,9 +121,11 @@ def estimate_modes_pearson(means, medians):
         raise DomainError("means and medians must have equal length")
     if means.size == 0:
         raise DomainError("empty input")
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(medians))):
-        raise DomainError("means and medians must be finite")
-    modes = 3.0 * medians - 2.0 * means
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes = 3.0 * medians - 2.0 * means
+    if not np.all(np.isfinite(modes)):
+        raise DomainError("means and medians must be finite, and so must each mode "
+                          "3 * median - 2 * mean")
     return ModeEstimates(modes=modes, m_hat=float(modes.mean()))
 
 
@@ -167,17 +173,19 @@ def fit_triangular_pearson(means, medians, intervals, alpha=0.05, n_tests=1):
     """Partial-information fit: a triangular latent from summary statistics.
 
     Raw modes come from the rowwise rule of thumb, each is scaled into
-    [-1, 1] through its own row's interval, and the per-variable mode is the
-    average of the scaled modes. When the symmetry test does not reject, the
-    mode is pinned to zero.
+    [-1, 1] through its own row's interval as aggregated microdata are
+    (so a range that overflows scales by the half-width), and the
+    per-variable mode is the average of the scaled modes. When the symmetry
+    test does not reject, the mode is pinned to zero.
     """
+    from ._aggregation import _unit_scale
+
     raw = estimate_modes_pearson(means, medians).modes
     if len(intervals) != raw.size:
         raise DomainError("one interval is required per summary row")
     scaled = np.array([
-        float(np.clip(2.0 * (mo - iv.centre) / iv.range, -1.0, 1.0))
-        if iv.range > 0.0 else 0.0
-        for mo, iv in zip(raw, intervals)
+        _unit_scale([mo], iv.lower, iv.upper)[0] if iv.range > 0.0 else 0.0
+        for mo, iv in zip(raw.tolist(), intervals)
     ])
     reject, _ = test_mode_symmetry(scaled, alpha=alpha, n_tests=n_tests)
     m_hat = float(scaled.mean())

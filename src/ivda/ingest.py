@@ -88,7 +88,8 @@ def scale_to_latent(values, interval):
 
     Values may poke out of the interval by at most 1e-9 * max(1, range)
     (they are clamped back); anything further out is reported as a
-    violation. A zero-range interval cannot be scaled.
+    violation. A zero-range interval cannot be scaled, and where the range
+    overflows, u is (v - c) over the half-width.
     """
     import numpy as np
 

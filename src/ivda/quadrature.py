@@ -1,9 +1,10 @@
 """Composite Gauss-Legendre integration for piecewise-smooth integrands.
 
 Quantile functions are smooth between a handful of breakpoints, so panels
-are laid out once by ``fixed_grid``: equal panels, cut again at the
-supplied breakpoints. The library's cross moments and both oracles use
-that grid. ``integrate`` instead bisects panels adaptively until two
+are laid out once by ``fixed_grid``: equal panels on [0, 1], cut again at
+the supplied breakpoints. The library's cross moments and both oracles use
+that grid. ``integrate`` instead takes every breakpoint segment's first
+estimate from one integrand call, then bisects each segment until two
 refinement levels agree; no library code calls it, and it is kept for the
 benchmark's quadrature probe. Both use one 32-point Gauss-Legendre rule,
 written out below as a constant table, so no quadrature imports
@@ -49,31 +50,20 @@ _NODES = np.concatenate([-_HALF_RULE[::-1, 0], _HALF_RULE[:, 0]])
 _WEIGHTS = np.concatenate([_HALF_RULE[::-1, 1], _HALF_RULE[:, 1]])
 
 
-def _gauss_rule():
-    return _NODES, _WEIGHTS
-
-
 def gauss_weights():
-    return _gauss_rule()[1]
-
-
-def _panel(f, a, b):
-    nodes, weights = _gauss_rule()
-    half = 0.5 * (b - a)
-    x = a + half * (nodes + 1.0)
-    return half * float(np.sum(weights * f(x)))
+    return _WEIGHTS
 
 
 def _panel_nodes(edges):
     # half-widths of the panels between consecutive edges, and their nodes
     half = 0.5 * (edges[1:] - edges[:-1])
-    return half, edges[:-1, None] + half[:, None] * (_gauss_rule()[0] + 1.0)[None, :]
+    return half, edges[:-1, None] + half[:, None] * (_NODES + 1.0)[None, :]
 
 
 def _panel_sums(f, half, nodes):
     # one vectorized integrand call across all panels
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return half * (values @ gauss_weights())
+    return half * (values @ _WEIGHTS)
 
 
 def _refine(f, a, b, coarse, tol, depth):
@@ -87,32 +77,30 @@ def _refine(f, a, b, coarse, tol, depth):
             + _refine(f, mid, b, right, half_tol, depth + 1))
 
 
-def _edges(a, b, breakpoints):
-    if b <= a:
-        raise DomainError("integration interval must have positive length")
-    cuts = sorted({float(p) for p in breakpoints if a < p < b})
-    return [a, *cuts, b]
-
-
 def integrate(f, a=0.0, b=1.0, breakpoints=(), tol=1e-9):
     """Adaptive integral of ``f`` over [a, b], panels cut at breakpoints.
 
-    What the benchmark's quadrature probe integrates with; no library path
-    calls it. Bisection stops at depth 24 without raising.
+    One integrand call gives every segment's starting estimate, then each
+    segment is bisected on its own. What the benchmark's quadrature probe
+    integrates with; no library path calls it. Bisection stops at depth 24
+    without raising.
     """
-    edges = _edges(a, b, breakpoints)
+    if b <= a:
+        raise DomainError("integration interval must have positive length")
+    edges = np.array([a, *sorted({float(p) for p in breakpoints if a < p < b}), b],
+                     dtype=float)
     total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        total += _refine(f, lo, hi, _panel(f, lo, hi), tol, 0)
+    for lo, hi, coarse in zip(edges, edges[1:], _panel_sums(f, *_panel_nodes(edges))):
+        total += _refine(f, lo, hi, coarse, tol, 0)
     return total
 
 
-def fixed_grid(panels, breakpoints=(), a=0.0, b=1.0):
+def fixed_grid(panels, breakpoints=()):
     """Panel half-widths and nodes (one row of 32 per panel) of ``panels``
-    equal panels on [a, b], cut again at every breakpoint inside it."""
+    equal panels on [0, 1], cut again at every breakpoint inside it."""
     if panels < 1:
         raise DomainError("panels must be a positive integer")
-    grid = np.linspace(a, b, panels + 1)
+    grid = np.linspace(0.0, 1.0, panels + 1)
     edges = np.array(sorted(set(grid.tolist())
-                            | {float(p) for p in breakpoints if a < p < b}))
+                            | {float(p) for p in breakpoints if 0.0 < p < 1.0}))
     return _panel_nodes(edges)

@@ -94,10 +94,17 @@ def test_distance_matrix_cli(tmp_path, capsys, intervals_csv):
     out = tmp_path / "dist.csv"
     code, _, _ = run_cli(
         capsys, "distance", "--intervals", intervals_csv,
-        "--latents", "triangular:0", "--threads", "2", "--out", str(out))
+        "--latents", "triangular:0", "--out", str(out))
     assert code == 0
     rows = out.read_text().strip().splitlines()
     assert len(rows) == 37                      # header + 36 observations
+    # the matrix is computed on one thread, and --threads is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--intervals", intervals_csv, "--latents", "triangular:0",
+              "--threads", "2", "--out", str(tmp_path / "threads.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "threads.csv").exists()
 
 
 def test_ellipse_cli(tmp_path, capsys):
@@ -366,9 +373,12 @@ _SUMMARY_HEAD = "group,variable,mean,median,min,max\ng1,x,0.1,0.2,-1,1\n"
     (["compare"], ",a,b\nx,1,2\ny,-inf,4\n", ":3: a matrix cell is not finite"),
     (_PEARSON, _SUMMARY_HEAD + "g2,x,0.0,nan,-1,1\n", ":3: mean and median must be finite"),
     (_PEARSON, _SUMMARY_HEAD + "g2,x,inf,0.1,-1,1\n", ":3: mean and median must be finite"),
+    (_PEARSON, _SUMMARY_HEAD + "g2,x,-1e308,1e308,-1.7e308,1.7e308\n",
+     ":3: mean and median must be finite, and so must the mode 3 * median - 2 * mean"),
 ], ids=["x0-one-value", "x0-not-numeric", "delta-nan", "delta-inf", "radius-nan", "radius-inf",
         "n-points-huge", "matrix-cell-not-numeric", "matrix-row-ragged", "matrix-cell-nan",
-        "matrix-cell-inf", "summary-median-nan", "summary-mean-inf"])
+        "matrix-cell-inf", "summary-median-nan", "summary-mean-inf",
+        "summary-mode-rule-overflows"])
 def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, table, message):
     out = tmp_path / "out.csv"
     if table is None:
@@ -391,7 +401,7 @@ def test_malformed_numeric_input_exits_2(tmp_path, capsys, argv, table, message)
     ("covariance", "estimator", "model8"),
     ("aggregate", "trim", "abc"),
     ("covariance", "ddof1", "no"),
-    ("distance", "threads", 2.5),
+    ("ellipse", "n-points", 2.5),
     ("fit", "method", "foo"),
 ])
 def test_config_value_is_checked_like_its_flag(tmp_path, capsys, intervals_csv,
@@ -458,7 +468,7 @@ def test_config_list_value_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, shown", [
     ("aggregate", "(default 0.0)"), ("fit", "(default 0.05)"),
-    ("distance", "(default 1)"), ("barycentre", None),
+    ("distance", None), ("barycentre", None),
     ("covariance", "(default barycentre)"), ("correlation", "(default barycentre)"),
     ("compare", None), ("ellipse", "(default 256)"), ("pairs-data", None),
 ])
@@ -699,8 +709,8 @@ def test_compare_at_the_ends_of_the_float_range(tmp_path):
         "type": "numeric", "message": "matrix difference is not finite: the data overflow"}
 
 
-_THREADED = ["distance", "--intervals", "iv.csv", "--latents", "fit.json", "--threads", "2",
-             "--out", "dist2.csv"]
+_DISTANCE_AGAIN = ["distance", "--intervals", "iv.csv", "--latents", "fit.json",
+                   "--out", "dist2.csv"]
 _OVERFLOWS = ["covariance", "--intervals", "huge.csv", "--latents", "uniform", "--out", "c3.csv"]
 
 
@@ -714,7 +724,7 @@ def test_the_program_writes_what_main_writes(tmp_path, capsys, monkeypatch):
         (d / "ragged.csv").write_text("label,a.lo,a.hi\nr1,1,2\nr2,1\n", encoding="utf-8")
         (d / "huge.csv").write_text(_HUGE["centre-sum-overflows"], encoding="utf-8")
     monkeypatch.chdir(library)
-    runs = [*[(argv, 0) for argv in _CHAIN], (_THREADED, 0), (_OVERFLOWS, 3), (_RAGGED, 2)]
+    runs = [*[(argv, 0) for argv in _CHAIN], (_DISTANCE_AGAIN, 0), (_OVERFLOWS, 3), (_RAGGED, 2)]
     for argv, code in runs:
         done = _fresh_python(["-m", "ivda.cli", *argv], program)
         assert done.returncode == code, done.stderr
@@ -849,7 +859,7 @@ def test_a_parser_built_for_its_subcommand_parses_as_the_full_one(tmp_path, caps
     subparsers = cli._build_parser(["distance"])[1]
     assert [a.dest for a in subparsers["fit"]._actions] == ["help"]
     assert [a.dest for a in subparsers["distance"]._actions] == \
-        ["help", "intervals", "latents", "threads", "out"]
+        ["help", "intervals", "latents", "out"]
     full = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
     assert outcomes() == lazy

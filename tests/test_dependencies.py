@@ -53,7 +53,7 @@ for argv in (
     ["covariance", "--intervals", str(d / "iv.csv"), "--latents", str(d / "fit.json"),
      "--out", str(d / "cov.csv"), "--report-out", str(d / "report.json")],
     ["distance", "--intervals", str(d / "wide.csv"), "--latents", "triangular:0.2",
-     "--threads", "2", "--out", str(d / "wide_dist.csv")],
+     "--out", str(d / "wide_dist.csv")],
 ):
     assert cli.main(argv) == 0, argv
 print(json.dumps(sorted(sys.modules)))
@@ -88,8 +88,8 @@ def test_cli_start_up_loads_no_unused_module():
 
 def test_kde_chain_loads_no_unused_module(tmp_path):
     # np.percentile and np.union1d import numpy.ma on first call, through np.unique.
-    # The last run asks for two threads on 130 rows, more than one row block
-    # (the chain's 24-row matrix is one), and must still start no thread pool
+    # The last run is 130 rows, more than one row block (the chain's 24-row
+    # matrix is one), and must still start no thread pool
     rows = [f"r{i},{i * 0.01},{i * 0.01 + 0.5},{-i * 0.02},{1 - i * 0.01}" for i in range(130)]
     (tmp_path / "wide.csv").write_text("\n".join(["label,a.lo,a.hi,b.lo,b.hi", *rows]) + "\n",
                                        encoding="utf-8")

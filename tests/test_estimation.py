@@ -144,6 +144,16 @@ def test_modes_length_mismatch():
         estimate_modes_pearson([0.1], [0.1, 0.2])
 
 
+def test_pearson_scales_a_row_whose_range_overflows():
+    # the first row's range overflows to inf, so its mode is scaled by the
+    # half-width, as aggregate scales microdata; the second keeps its bits
+    intervals = [Interval(-1e308, 1.7e308), Interval(-1.0, 1.0)]
+    dist, est = fit_triangular_pearson([0.0, 0.1], [0.0, 0.2], intervals)
+    assert est.modes.tolist() == [-0.25925925925925924, 0.4000000000000001]
+    assert est.m_hat == pytest.approx(0.0703703703703704, abs=1e-15)
+    assert (est.symmetric, dist.mode) == (True, 0.0)
+
+
 def test_rtt_fixture_reproduces_mode_averages():
     targets = {"x1": -0.14, "x2": -0.13, "x3": -0.34, "x4": -0.58,
                "x5": -0.69, "x6": -0.34, "x7": -0.17, "x8": -0.09}
@@ -288,6 +298,12 @@ _REFUSALS = {
         lambda: fit_triangular_pearson([0.1, np.inf], [0.1, 0.2],
                                        [Interval(0.0, 1.0), Interval(0.0, 1.0)]),
         "means and medians must be finite"),
+    # 3 * median - 2 * mean overflows, with no numpy warning
+    "modes-rule-overflows": (lambda: estimate_modes_pearson([-1e308], [1e308]),
+                             r"and so must each mode 3 \* median - 2 \* mean"),
+    "pearson-rule-overflows": (
+        lambda: fit_triangular_pearson([-1e308], [1e308], [Interval(-1.7e308, 1.7e308)]),
+        "and so must each mode"),
     "symmetry-nan-mode": (lambda: test_mode_symmetry(np.array([0.1, np.nan])),
                           "modes must be finite"),
     "symmetry-inf-mode": (lambda: test_mode_symmetry(np.array([-np.inf, 0.1])),

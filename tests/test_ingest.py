@@ -13,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ivda import (
+    Interval,
     MicroRecord,
     aggregate,
     fit_kde,
@@ -21,6 +22,7 @@ from ivda import (
     read_microdata_csv,
     read_scaled_csv,
     read_summary_csv,
+    scale_to_latent,
     write_interval_csv,
     write_scaled_csv,
 )
@@ -387,17 +389,28 @@ def test_the_aggregate_command_writes_what_the_library_writes(case):
             assert (d / f"cli_{name}").read_bytes() == (d / f"lib_{name}").read_bytes(), name
 
 
-def test_aggregate_refuses_the_scaled_values_of_an_overflowed_range(tmp_path):
-    # row a's range overflows to inf, so 2 (v - c) / r is inf / inf = NaN
+def test_aggregate_scales_a_cell_whose_range_overflows(tmp_path):
+    # row a's range overflows to inf, so its values are scaled by the
+    # half-width; 2 (v - c) / r would be inf / inf = NaN
     (tmp_path / "micro.csv").write_text(
-        "g,variable,value\na,x,-1.7e308\na,x,1.7e308\na,x,0\nb,x,1\nb,x,2\n",
+        "g,variable,value\na,x,-1e308\na,x,1.7e308\na,x,0\nb,x,1\nb,x,2\n",
         encoding="utf-8")
     code, stderr, refused = _aggregate_both_ways(tmp_path)
-    message = "scaled values for 'x' must lie in [-1, 1]"
-    assert (code, json.loads(stderr)) == (2, {"error": {"type": "validation",
-                                                       "message": message}})
-    assert str(refused) == message
-    assert not (tmp_path / "cli_iv.csv").exists()
+    assert (code, stderr, refused) == (0, "", None)
+    scaled = (tmp_path / "cli_scaled.csv").read_text(encoding="utf-8")
+    assert scaled == ("variable,row,value\nx,a,-1.0\nx,a,-0.25925925925925924\nx,a,1.0\n"
+                      "x,b,-1.0\nx,b,1.0\n")
+    assert scaled == (tmp_path / "lib_scaled.csv").read_text(encoding="utf-8")
+
+
+def test_scale_to_latent_on_a_range_that_overflows():
+    iv = Interval(-1e308, 1.7e308)
+    assert scale_to_latent([-1e308, 1.7e308, 0.0], iv).tolist() == \
+        [-1.0, 1.0, -0.25925925925925924]
+    # the tolerance is 2e-9 of the half-width, not inf
+    with pytest.raises(DataValidationError, match=r"1 value\(s\) outside"):
+        scale_to_latent([0.0, -1.7e308], iv)
+    assert scale_to_latent([-1e308 - 1e299], iv).tolist() == [-1.0]
 
 
 def test_aggregate_scales_a_cell_whose_bounds_sum_overflows(tmp_path):
@@ -533,6 +546,11 @@ _REFUSALS = {
         lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min,max\n"
                                              "g,x,-inf,0,-1,1\n")),
         DataValidationError, r"table\.csv:2: mean and median must be finite"),
+    "summary-mode-rule-overflows": (
+        lambda d: read_summary_csv(_table(d, "group,variable,mean,median,min,max\n"
+                                             "g,x,-1e308,1e308,-1.7e308,1.7e308\n")),
+        DataValidationError, r"table\.csv:2: mean and median must be finite, and so must "
+                             r"the mode 3 \* median - 2 \* mean"),
     "sample-provenance-length": (
         lambda d: ScaledSample("x", [0.1, 0.2], rows=("r1",)),
         DomainError, "provenance length must match the number of values"),

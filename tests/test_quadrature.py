@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivda.errors import DomainError
-from ivda.quadrature import _gauss_rule, fixed_grid, gauss_weights, integrate
+from ivda.quadrature import _NODES, fixed_grid, gauss_weights, integrate
 
 from conftest import fixed_rule
 
@@ -41,4 +41,4 @@ def test_bad_interval():
 def test_rule_built_on_first_use_is_leggauss_32_bit_for_bit():
     nodes, weights = np.polynomial.legendre.leggauss(32)
     assert gauss_weights().tobytes() == weights.tobytes()
-    assert _gauss_rule()[0].tobytes() == nodes.tobytes()
+    assert _NODES.tobytes() == nodes.tobytes()
